@@ -8,12 +8,16 @@ Each hot kernel runs the same workload per backend; results are checked
 for agreement before the timings print.
 """
 
+import sys
 import time
+from pathlib import Path
 
 from hyperkernel import kernels
 from hyperkernel.core import direct_product
 from hyperkernel.corpus import cyclic_group, h9
-from hyperkernel.relations import _all_class_assignments
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import all_class_assignments  # noqa: E402
 
 
 def _time(fn, repeat=3):
@@ -28,7 +32,7 @@ def _time(fn, repeat=3):
 
 def _sr_enumeration(backend, rows, n):
     count = 0
-    for class_of in _all_class_assignments(n):
+    for class_of in all_class_assignments(n):
         if backend.sr_check(rows, n, list(class_of)):
             count += 1
     return count

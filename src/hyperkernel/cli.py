@@ -34,12 +34,26 @@ def _load(arg: str) -> HyperTable:
     raise errors.ParseError(f"no such file or fixture: {arg}")
 
 
+def _positive_int(text: str) -> int:
+    """A whole number of at least 1, for the caps, budgets and bounds."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _census_cap(args) -> int:
     if args.census_cap is not None:
         return args.census_cap
     env = os.environ.get(CENSUS_CAP_ENV)
     if env:
-        return int(env)
+        try:
+            return _positive_int(env)
+        except argparse.ArgumentTypeError as exc:
+            raise errors.ParseError(f"{CENSUS_CAP_ENV}: {exc}") from None
     return relations.DEFAULT_CENSUS_CAP
 
 
@@ -345,7 +359,7 @@ def _add_globals(parser: argparse.ArgumentParser, suppress: bool) -> None:
     )
     parser.add_argument(
         "--census-cap",
-        type=int,
+        type=_positive_int,
         default=argparse.SUPPRESS if suppress else None,
         help=f"product census cap (default {relations.DEFAULT_CENSUS_CAP}, "
         f"overridable via {CENSUS_CAP_ENV})",
@@ -377,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("table")
     p.add_argument("--oracle", action="store_true", help="use the brute-force route")
-    p.add_argument("--nmax", type=int, default=4, help="oracle product length bound")
+    p.add_argument(
+        "--nmax", type=_positive_int, default=4, help="oracle product length bound"
+    )
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser(
@@ -417,8 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("table")
     p.add_argument(
-        "--budget", type=int, default=relations.DEFAULT_SR_BUDGET,
-        help="partition count budget",
+        "--budget", type=_positive_int, default=core.DEFAULT_CLOSED_SET_BUDGET,
+        help="most closed sets to visit while enumerating the subgroups of the "
+        "fundamental group, the empty set included "
+        f"(default {core.DEFAULT_CLOSED_SET_BUDGET})",
     )
     p.set_defaults(func=_cmd_sr_enum)
 
@@ -437,7 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; here 2 means exhaustion.
+        return 1 if exc.code else 0
     try:
         doc = args.func(args)
     except errors.ResourceExhausted as exc:

@@ -9,7 +9,7 @@ immutable after construction and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from hyperkernel import errors, kernels
 
@@ -498,6 +498,92 @@ def is_subhypergroup(H: HyperTable, K: ElementSet) -> bool:
     return all(
         H.mul_mask(1 << k, km) == km and H.mul_mask(km, 1 << k) == km for k in bits(km)
     )
+
+
+# A closed-set family on n points has at most 2^n members, so this budget
+# reaches every carrier the powerset scans of earlier versions reached.
+DEFAULT_CLOSED_SET_BUDGET = 1 << 20
+
+
+def closed_sets(
+    n: int,
+    close: Callable[[int, int], int | None],
+    budget: int = DEFAULT_CLOSED_SET_BUDGET,
+    phase: str = "closed-set enumeration",
+) -> list[int]:
+    """Every closed set of a closure system on 0..n-1, in ascending mask order.
+
+    Ganter's NextClosure ("Two basic algorithms in concept analysis",
+    1984), with bit n-1 the most significant element, so lectic order is
+    ascending integer order.  close(seed, forbidden) returns the closure
+    of seed, or None as soon as it would add a bit of forbidden: the
+    canonicity test of NextClosure is folded into the closure that way.
+    budget bounds the number of closed sets visited.
+    """
+    full = (1 << n) - 1
+    current = close(0, 0)
+    out = [current]
+    while current != full:
+        for i in range(n):
+            bit = 1 << i
+            if current & bit:
+                continue
+            above = full & -(bit << 1)
+            nxt = close(current & above | bit, above & ~current)
+            if nxt is not None:
+                break
+        current = nxt
+        out.append(current)
+        if len(out) > budget:
+            raise errors.BudgetExceeded(
+                f"{phase}: visited {len(out)} closed sets, over the budget of {budget}"
+            )
+    return out
+
+
+def product_closure(
+    H: HyperTable, joins: Sequence[int] | None = None
+) -> Callable[[int, int], int | None]:
+    """Closure operator of the product-closed subsets K*K <= K, for closed_sets.
+
+    Semi-naive: each round multiplies only the elements added by the
+    previous one.  With joins, an element x entering K also brings
+    joins[x] along, and the closure is the least product-closed set
+    that also satisfies that rule.
+    """
+    rows = H.rows
+
+    def close(seed: int, forbidden: int) -> int | None:
+        closed = 0
+        new = seed
+        while new:
+            old = closed
+            closed |= new
+            grow = 0
+            m = new
+            while m:
+                low = m & -m
+                x = low.bit_length() - 1
+                m ^= low
+                row = rows[x]
+                if joins is not None:
+                    grow |= joins[x]
+                k = closed
+                while k:
+                    lb = k & -k
+                    grow |= row[lb.bit_length() - 1]
+                    k ^= lb
+                k = old
+                while k:
+                    lb = k & -k
+                    grow |= rows[lb.bit_length() - 1][x]
+                    k ^= lb
+                if grow & forbidden:
+                    return None
+            new = grow & ~closed
+        return closed
+
+    return close
 
 
 def is_closed(H: HyperTable, K: ElementSet) -> bool:

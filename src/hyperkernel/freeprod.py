@@ -288,7 +288,10 @@ def phi(registry: FactorRegistry, w: ReducedWord) -> ReducedWord:
         cls = registry.betas[l.factor].class_of[l.elem]
         piece = embed(target, l.factor, cls)
         prods = multiply(target, acc, piece)
-        assert len(prods) == 1, "group-factor products must be single valued"
+        if len(prods) != 1:
+            raise errors.NotStronglyRegular(
+                f"fundamental-group product gave {len(prods)} words, not one"
+            )
         acc = prods.words[0]
     return acc
 

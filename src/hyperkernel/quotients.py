@@ -12,10 +12,12 @@ from dataclasses import dataclass
 
 from hyperkernel import errors
 from hyperkernel.core import (
+    DEFAULT_CLOSED_SET_BUDGET,
     ElementSet,
     HyperTable,
     Partition,
     bits,
+    closed_sets,
     hyperproduct,
     is_canonical,
     is_closed,
@@ -23,6 +25,7 @@ from hyperkernel.core import (
     is_normal,
     is_subhypergroup,
     left_division,
+    product_closure,
     right_division,
 )
 from hyperkernel.groups import cosets, isomorphic
@@ -39,9 +42,6 @@ from hyperkernel.relations import (
     pullback,
     quotient_by,
 )
-
-DEFAULT_SUBSET_BUDGET = 1 << 20
-
 
 def is_complete_part(H: HyperTable, C: ElementSet, census: ProductCensus) -> bool:
     """C swallows every product set it meets."""
@@ -75,15 +75,18 @@ class SubLattice:
         return tuple(entry.members for entry in self.all)
 
 
-def subhypergroups(H: HyperTable, budget: int = DEFAULT_SUBSET_BUDGET) -> SubLattice:
-    """Powerset scan for subhypergroups, with all classification flags."""
-    if 1 << H.n > budget:
-        raise errors.BudgetExceeded(f"2^{H.n} subsets exceed budget {budget}")
+def subhypergroups(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> SubLattice:
+    """Every subhypergroup with all classification flags, ascending by mask.
+
+    Product-closed subsets are closed under intersection; their closure
+    system is enumerated and filtered by the reproduction law.  budget
+    bounds the product-closed sets visited.
+    """
     census = product_census(H)
     s_beta = kernel_S(H, beta(H)).mask
     s_gamma = kernel_S(H, gamma(H)).mask
     entries = []
-    for mask in range(1, 1 << H.n):
+    for mask in closed_sets(H.n, product_closure(H), budget, "subhypergroup lattice"):
         K = ElementSet(H.n, mask)
         if not is_subhypergroup(H, K):
             continue
@@ -104,17 +107,26 @@ def subhypergroups(H: HyperTable, budget: int = DEFAULT_SUBSET_BUDGET) -> SubLat
 def _complete_part_subhypergroups(
     H: HyperTable, census: ProductCensus, budget: int
 ) -> list[int]:
-    if 1 << H.n > budget:
-        raise errors.BudgetExceeded(f"2^{H.n} subsets exceed budget {budget}")
-    out = []
-    for mask in range(1, 1 << H.n):
-        K = ElementSet(H.n, mask)
-        if is_subhypergroup(H, K) and is_complete_part(H, K, census):
-            out.append(mask)
-    return out
+    """Masks of the subhypergroups that are complete parts, ascending.
+
+    Complete parts are closed under intersection too, so the closure
+    adds, with every element x, each census set containing x.
+    """
+    if not census.complete:
+        raise errors.CensusIncomplete("refusing to close over a truncated census")
+    joins = [0] * H.n
+    for p in census.masks:
+        for x in bits(p):
+            joins[x] |= p
+    closure = product_closure(H, joins)
+    return [
+        mask
+        for mask in closed_sets(H.n, closure, budget, "complete-part lattice")
+        if is_subhypergroup(H, ElementSet(H.n, mask))
+    ]
 
 
-def heart(H: HyperTable, budget: int = DEFAULT_SUBSET_BUDGET) -> ElementSet:
+def heart(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> ElementSet:
     """Intersection of all complete-part subhypergroups.
 
     Cross-checked against the identity class of the fundamental group;
@@ -132,12 +144,12 @@ def heart(H: HyperTable, budget: int = DEFAULT_SUBSET_BUDGET) -> ElementSet:
     return ElementSet(H.n, acc)
 
 
-def derived(H: HyperTable, budget: int = DEFAULT_SUBSET_BUDGET) -> ElementSet:
-    """Smallest complete-part subhypergroup containing all division sets.
+def _division_set(H: HyperTable) -> int:
+    """Mask of D, which derived() closes to a complete-part subhypergroup.
 
     D gathers, over all pairs (x, y), the right divisions z/w and left
     divisions z\\w taken elementwise across the two product sets x*y and
-    y*x.  Cross-checked against the identity class of gamma.
+    y*x.
     """
     d = 0
     for x in range(H.n):
@@ -148,6 +160,15 @@ def derived(H: HyperTable, budget: int = DEFAULT_SUBSET_BUDGET) -> ElementSet:
                 for w in bits(yx):
                     d |= right_division(H, z, w).mask
                     d |= left_division(H, w, z).mask
+    return d
+
+
+def derived(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> ElementSet:
+    """Smallest complete-part subhypergroup containing all division sets.
+
+    Cross-checked against the identity class of gamma.
+    """
+    d = _division_set(H)
     census = product_census(H)
     acc = H.full_mask
     for mask in _complete_part_subhypergroups(H, census, budget):
@@ -361,7 +382,7 @@ class GroupQuotientProbe:
     quotient_is_group: bool
 
 
-def group_quotient_probe(H: HyperTable, budget: int = DEFAULT_SUBSET_BUDGET) -> list[GroupQuotientProbe]:
+def group_quotient_probe(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> list[GroupQuotientProbe]:
     """Survey every subhypergroup for the closedness question.
 
     Records, without asserting, whether normal subhypergroups containing

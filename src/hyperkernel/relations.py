@@ -16,19 +16,22 @@ from typing import Iterable
 
 from hyperkernel import errors, kernels
 from hyperkernel.core import (
+    DEFAULT_CLOSED_SET_BUDGET,
     ElementSet,
     HyperTable,
     Partition,
     UnionFind,
     bits,
+    closed_sets,
     is_hypergroup,
+    is_normal,
     is_subhypergroup,
+    product_closure,
 )
 from hyperkernel.groups import GroupTable, commutator_subgroup, cosets, validate_group
 
 DEFAULT_CENSUS_CAP = 100_000
 DEFAULT_ORACLE_BUDGET = 10_000_000
-DEFAULT_SR_BUDGET = 30_000
 
 
 @dataclass(frozen=True)
@@ -254,44 +257,35 @@ def join(R1: Partition, R2: Partition) -> Partition:
     return uf.partition()
 
 
-def _bell(n: int) -> int:
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
-
-
-def _all_class_assignments(n: int):
-    """Restricted growth strings in lexicographic order."""
-    a = [0] * n
-
-    def rec(i: int, mx: int):
-        if i == n:
-            yield tuple(a)
-            return
-        for v in range(mx + 2):
-            a[i] = v
-            yield from rec(i + 1, max(mx, v))
-
-    yield from rec(1, 0) if n > 1 else iter([tuple(a)])
-
-
 def enumerate_strongly_regular(
-    H: HyperTable, budget: int = DEFAULT_SR_BUDGET
+    H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET
 ) -> list[Partition]:
-    """Every strongly regular partition of the carrier, canonically ordered."""
-    count = _bell(H.n)
-    if count > budget:
-        raise errors.BudgetExceeded(
-            f"Bell({H.n}) = {count} partitions exceed budget {budget}"
-        )
-    rows = H.rows
+    """Every strongly regular relation on a hypergroup, canonically ordered.
+
+    beta* is the smallest strongly regular relation, so every strongly
+    regular relation is the pullback through beta* of a congruence of
+    the fundamental group G, that is of the coset partition of a normal
+    subgroup.  The subgroups of G are the nonempty product-closed subsets
+    of its table; budget bounds the product-closed sets visited.  Each
+    pullback is re-checked, and a failure raises as an internal error.
+    """
+    if not is_hypergroup(H):
+        raise errors.NotAHypergroup("strongly regular enumeration requires a hypergroup")
+    b = beta(H)
+    q = quotient_by(H, b)
+    if not q.is_group:
+        raise errors.NotStronglyRegular("beta quotient failed to be a group")
+    G = q.table
     found = []
-    for class_of in _all_class_assignments(H.n):
-        if kernels.sr_check(rows, H.n, list(class_of)):
-            found.append(Partition(H.n, class_of))
+    for mask in closed_sets(G.n, product_closure(G), budget, "fundamental-group subgroups"):
+        N = ElementSet(G.n, mask)
+        if not mask or not is_normal(G, N):
+            continue
+        R = pullback(congruence_mod(G, N), b)
+        if not is_strongly_regular(H, R):
+            raise errors.NotStronglyRegular(
+                f"pullback of normal subgroup {N.labels(G.names)} is not strongly regular"
+            )
+        found.append(R)
     found.sort(key=Partition.sort_key)
     return found

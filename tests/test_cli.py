@@ -106,6 +106,37 @@ class TestProductAndSr:
         code, _, err = run(capsys, "beta", "h9", "--census-cap", "3")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("beta", "h9", "--census-cap", "0"),
+            ("--census-cap", "-3", "beta", "h9"),
+            ("sr-enum", "h9", "--budget", "0"),
+            ("sr-enum", "h9", "--budget", "many"),
+            ("gamma", "h9", "--oracle", "--nmax", "0"),
+        ],
+    )
+    def test_non_positive_values_are_usage_errors(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "expected a positive integer" in err
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_census_cap_env_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HYPERKERNEL_CENSUS_CAP", value)
+        code, out, err = run(capsys, "beta", "h9")
+        assert code == 1 and not out
+        assert "HYPERKERNEL_CENSUS_CAP" in err and "Traceback" not in err
+
+    def test_sr_enum_needs_hypergroup(self, capsys, tmp_path):
+        path = tmp_path / "semi.hyp"
+        path.write_text(
+            "elements: a b\nrow a: {a} {a}\nrow b: {a} {b}\n", encoding="utf-8"
+        )
+        code, _, err = run(capsys, "sr-enum", str(path))
+        assert code == 1
+        assert "hypergroup" in err
+
     def test_census_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERKERNEL_CENSUS_CAP", "3")
         code, _, err = run(capsys, "beta", "h9")

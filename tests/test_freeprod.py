@@ -280,6 +280,16 @@ class TestPhi:
         w2 = make_word(reg, [_letter(reg, 0, "u"), _letter(reg, 1, "a")])
         assert phi(reg, w) == phi(reg, w2)
 
+    def test_multivalued_group_product_raises(self, reg, monkeypatch):
+        # The check must survive python -O, so it cannot be an assert.
+        import hyperkernel.freeprod as fp
+
+        w = make_word(reg, [_letter(reg, 0, "x")])
+        two = fp.WordSet([EMPTY_WORD, w])
+        monkeypatch.setattr(fp, "multiply", lambda registry, a, b: two)
+        with pytest.raises(errors.NotStronglyRegular, match="2 words"):
+            phi(reg, w)
+
 
 class TestPsi:
     def test_empty_is_zero(self, group_reg):

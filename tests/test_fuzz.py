@@ -3,6 +3,7 @@ independent counterpart on hypergroups outside the curated corpus."""
 
 import random
 
+import oracles
 from hyperkernel.core import (
     HyperTable,
     is_canonical,
@@ -51,12 +52,14 @@ def test_random_hypergroup_cross_checks():
         assert is_strongly_regular(H, b)
         g = gamma(H)
         assert gamma_oracle(H, nmax=4) == g
-        assert heart(H) == kernel_S(H, b)
-        assert derived(H) == kernel_S(H, g)
+        assert heart(H) == kernel_S(H, b) == oracles.heart(H)
+        assert derived(H) == kernel_S(H, g) == oracles.derived(H)
         srs = enumerate_strongly_regular(H)
+        assert srs == oracles.strongly_regular(H)
         for R in srs:
             assert b.refines(R)
         lattice = subhypergroups(H)
+        assert lattice.all == oracles.subhypergroup_entries(H)
         s_beta = kernel_S(H, b)
         s_gamma = kernel_S(H, g)
         normal_closed = [

@@ -3,7 +3,7 @@
 import pytest
 
 from hyperkernel import corpus, kernels
-from hyperkernel.relations import _all_class_assignments
+from oracles import all_class_assignments
 
 BACKENDS = kernels.backends()
 needs_both = pytest.mark.skipif(
@@ -51,7 +51,7 @@ class TestParity:
         for name, H in _tables().items():
             if H.n > 5:
                 continue
-            for class_of in _all_class_assignments(H.n):
+            for class_of in all_class_assignments(H.n):
                 results = {
                     k: b.sr_check(H.rows, H.n, list(class_of))
                     for k, b in BACKENDS.items()

@@ -63,9 +63,13 @@ class TestSubhypergroups:
             assert entry.normal == is_normal(h9, entry.members)
             assert entry.conjugable == is_conjugable(h9, entry.members)
 
-    def test_budget(self, h9):
-        with pytest.raises(errors.BudgetExceeded):
-            subhypergroups(h9, budget=16)
+    def test_budget(self):
+        # The budget counts product-closed sets visited: every one of the
+        # 64 subsets of the pair hypergroup on 6 points is closed.
+        message = "subhypergroup lattice: visited 17 closed sets, over the budget of 16"
+        with pytest.raises(errors.BudgetExceeded, match=message):
+            subhypergroups(corpus.pair_hypergroup(6), budget=16)
+        assert len(subhypergroups(corpus.pair_hypergroup(6), budget=64).all) == 63
 
 
 class TestHeartAndDerived:

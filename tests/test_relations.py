@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperkernel import corpus, errors
-from hyperkernel.core import Partition, total_hypergroup
+from hyperkernel.core import HyperTable, Partition, total_hypergroup
 from hyperkernel.relations import (
     beta,
     congruence_mod,
@@ -281,8 +281,18 @@ class TestEnumerateSR:
         assert len(found) == len(normal_closed)
 
     def test_budget(self, h9):
-        with pytest.raises(errors.BudgetExceeded):
-            enumerate_strongly_regular(h9, budget=10)
+        # The fundamental group of h9 is the Klein group: its product
+        # closure has 6 closed sets, the empty set and 5 subgroups.
+        message = "fundamental-group subgroups: visited 6 closed sets, over the budget of 5"
+        with pytest.raises(errors.BudgetExceeded, match=message):
+            enumerate_strongly_regular(h9, budget=5)
+        assert len(enumerate_strongly_regular(h9, budget=6)) == 5
+
+    def test_requires_hypergroup(self):
+        # Associative but not reproductive: a*H = {a} misses b.
+        H = HyperTable(["a", "b"], [[0b01, 0b01], [0b01, 0b10]])
+        with pytest.raises(errors.NotAHypergroup):
+            enumerate_strongly_regular(H)
 
 
 class TestStructuralInvariants:
@@ -320,13 +330,13 @@ class TestStructuralInvariants:
                     )
 
     def test_regular_containing_beta_is_strongly_regular(self, full_corpus):
-        from hyperkernel.relations import _all_class_assignments
+        from oracles import all_class_assignments
 
         for H in full_corpus.values():
             if H.n > 5:
                 continue
             b = beta(H)
-            for class_of in _all_class_assignments(H.n):
+            for class_of in all_class_assignments(H.n):
                 R = Partition(H.n, class_of)
                 if b.refines(R) and is_regular(H, R):
                     assert is_strongly_regular(H, R)
