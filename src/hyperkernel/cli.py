@@ -1,9 +1,10 @@
 """Batch command line: parse tables, run computations, emit reports.
 
-Every command accepts either a file path or a built-in fixture name
-(h9, h9-quotient, z2, z3, z4, v4, s3, total2, total3, total4).  Output
-is a human-readable text report by default and canonical JSON with
---json; identical inputs and flags produce byte-identical output.
+Every command accepts either a built-in fixture name (h9, h9-quotient,
+z2, z3, z4, v4, s3, total2, total3, total4) or a file path.  A fixture
+name wins over a file of the same name; write ./h9 for such a file.
+Output is a human-readable text report by default and canonical JSON
+with --json; identical inputs and flags produce byte-identical output.
 
 Exit codes: 0 success, 1 any error, 2 cap or budget exhaustion.
 """
@@ -25,12 +26,12 @@ CENSUS_CAP_ENV = "HYPERKERNEL_CENSUS_CAP"
 
 
 def _load(arg: str) -> HyperTable:
-    path = Path(arg)
-    if path.exists():
-        return hypio.load_table(path)
     fixtures = corpus_mod.fixtures()
     if arg in fixtures:
         return fixtures[arg]
+    path = Path(arg)
+    if path.exists():
+        return hypio.load_table(path)
     raise errors.ParseError(f"no such file or fixture: {arg}")
 
 
@@ -132,7 +133,7 @@ def _cmd_check(args) -> dict:
     }
 
 
-def _fundamental_doc(H: HyperTable, R, cap: int) -> dict:
+def _fundamental_doc(H: HyperTable, R) -> dict:
     q = relations.quotient_by(H, R)
     doc = {
         "classes": partition_labels(H.names, R),
@@ -145,20 +146,18 @@ def _fundamental_doc(H: HyperTable, R, cap: int) -> dict:
 
 def _cmd_beta(args) -> dict:
     H = _load(args.table)
-    cap = _census_cap(args)
-    return _fundamental_doc(H, relations.beta(H, cap), cap)
+    return _fundamental_doc(H, relations.beta(H, _census_cap(args)))
 
 
 def _cmd_gamma(args) -> dict:
     H = _load(args.table)
     cap = _census_cap(args)
     if args.oracle:
-        R = relations.gamma_oracle(H, nmax=args.nmax)
-        doc = _fundamental_doc(H, R, cap)
+        doc = _fundamental_doc(H, relations.gamma_oracle(H, nmax=args.nmax))
         doc["route"] = "oracle"
         doc["nmax"] = args.nmax
     else:
-        doc = _fundamental_doc(H, relations.gamma(H, cap), cap)
+        doc = _fundamental_doc(H, relations.gamma(H, cap))
         doc["route"] = "commutator"
     return doc
 

@@ -8,6 +8,8 @@ immutable after construction and all operations are pure functions.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -223,9 +225,13 @@ def _check_names(names: Sequence[str]) -> tuple[str, ...]:
 
 
 class HyperTable:
-    """Finite hypergroupoid: labels plus an n x n grid of nonempty subsets."""
+    """Finite hypergroupoid: labels plus an n x n grid of nonempty subsets.
 
-    __slots__ = ("n", "names", "rows", "name", "_index")
+    memo holds the results of the per_table functions on this table; it
+    takes no part in equality or hashing.
+    """
+
+    __slots__ = ("n", "names", "rows", "name", "_index", "memo")
 
     def __init__(
         self,
@@ -250,6 +256,7 @@ class HyperTable:
         self.rows = tuple(tuple(row) for row in rows)
         self.name = name
         self._index = {lab: i for i, lab in enumerate(self.names)}
+        self.memo: dict = {}
 
     @classmethod
     def from_sets(
@@ -316,6 +323,27 @@ class HyperTable:
         return f"HyperTable({tag})"
 
 
+def per_table(fn: Callable) -> Callable:
+    """Memoise fn(H, *args) on the table H, which is immutable.
+
+    Arguments are bound with their defaults first, so fn(H) and fn(H, d)
+    share an entry when d is the default.  An exception is never cached.
+    Only functions with immutable results and hashable arguments qualify.
+    """
+    sig = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def memoised(H: HyperTable, *args, **kwargs):
+        bound = sig.bind(H, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn, bound.args[1:])
+        if key not in H.memo:
+            H.memo[key] = fn(*bound.args)
+        return H.memo[key]
+
+    return memoised
+
+
 @dataclass(frozen=True)
 class StructureReport:
     """Axiom flags plus a witness for every flag that came out false."""
@@ -352,6 +380,7 @@ def left_division(H: HyperTable, b: int, c: int) -> ElementSet:
     return ElementSet(H.n, mask_of(w for w in range(H.n) if row[w] & bit))
 
 
+@per_table
 def is_semihypergroup(H: HyperTable) -> tuple[bool, tuple[int, int, int] | None]:
     """Associativity over all triples; returns the least failing one."""
     packed = kernels.assoc_witness(H.rows, H.n)
@@ -362,6 +391,7 @@ def is_semihypergroup(H: HyperTable) -> tuple[bool, tuple[int, int, int] | None]
     return False, (a, b, c)
 
 
+@per_table
 def is_quasihypergroup(H: HyperTable) -> tuple[bool, int | None]:
     """Reproduction law a*H = H*a = H; returns the least failing element."""
     full = H.full_mask
@@ -392,6 +422,7 @@ def is_commutative(H: HyperTable) -> bool:
     return commutativity_witness(H) is None
 
 
+@per_table
 def identities(H: HyperTable) -> ElementSet:
     """Two-sided identities: e with x in e*x and x in x*e for all x."""
     out = 0
@@ -629,29 +660,10 @@ def is_conjugable(H: HyperTable, K: ElementSet) -> bool:
 def from_group(table: Sequence[Sequence[int]], names: Sequence[str] | None = None,
                name: str | None = None) -> HyperTable:
     """Lift a single-valued group table to singleton hyperoperation cells."""
-    rows = [list(r) for r in table]
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
-        raise errors.InvalidGroupTable("table is not square")
-    if any(not (0 <= v < n) for r in rows for v in r):
-        raise errors.InvalidGroupTable("entry out of range")
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
-                    raise errors.InvalidGroupTable(f"not associative at {(a, b, c)}")
-    ident = next(
-        (e for e in range(n) if all(rows[e][x] == x and rows[x][e] == x for x in range(n))),
-        None,
-    )
-    if ident is None:
-        raise errors.InvalidGroupTable("no identity")
-    for a in range(n):
-        if not any(rows[a][b] == ident and rows[b][a] == ident for b in range(n)):
-            raise errors.InvalidGroupTable(f"no inverse for {a}")
-    if names is None:
-        names = [str(i) for i in range(n)]
-    return HyperTable(names, [[1 << v for v in r] for r in rows], name)
+    from hyperkernel.groups import validate_group
+
+    G = validate_group(table, names)
+    return HyperTable(G.names, [[1 << v for v in r] for r in G.rows], name)
 
 
 def total_hypergroup(n: int, names: Sequence[str] | None = None,
@@ -704,47 +716,34 @@ def structure_report(H: HyperTable) -> StructureReport:
     if not comm:
         witnesses["is_commutative"] = comm_w
     idents = identities(H)
-    regular = strongly = False
-    if hg:
-        regular = is_regular_hg(H)
-        strongly = is_strongly_regular_hg(H)
-    if not regular:
-        if not hg:
-            witnesses["is_regular_hg"] = witnesses["is_hypergroup"]
-        elif not idents:
+    regular = strongly = poly = False
+    if not hg:
+        for key in ("is_regular_hg", "is_strongly_regular_hg", "is_polygroup"):
+            witnesses[key] = witnesses["is_hypergroup"]
+    else:
+        cands = [inverse_candidates(H, x)[2] for x in range(H.n)]
+        no_inverse = next((x for x, c in enumerate(cands) if not c), None)
+        not_unique = next((x for x, c in enumerate(cands) if len(c) != 1), None)
+        if not idents:
             witnesses["is_regular_hg"] = ("no identities",)
-        else:
-            bad = next(x for x in range(H.n) if not inverse_candidates(H, x)[2])
-            witnesses["is_regular_hg"] = (bad,)
-    if not strongly:
-        if not hg:
-            witnesses["is_strongly_regular_hg"] = witnesses["is_hypergroup"]
-        elif not idents:
             witnesses["is_strongly_regular_hg"] = ("no identities",)
         else:
-            bad = next(
-                x for x in range(H.n) if len(inverse_candidates(H, x)[2]) != 1
-            )
-            witnesses["is_strongly_regular_hg"] = (bad,)
-    poly = canon = False
-    if hg:
+            regular = no_inverse is None
+            strongly = not_unique is None
+            if not regular:
+                witnesses["is_regular_hg"] = (no_inverse,)
+            if not strongly:
+                witnesses["is_strongly_regular_hg"] = (not_unique,)
         if scalar_identity(H) is None:
             witnesses["is_polygroup"] = ("no scalar identity",)
+        elif not strongly:
+            witnesses["is_polygroup"] = ("non-unique inverse", not_unique)
         else:
-            inv = unique_inverses(H)
-            if inv is None:
-                bad = next(
-                    x for x in range(H.n) if len(inverse_candidates(H, x)[2]) != 1
-                )
-                witnesses["is_polygroup"] = ("non-unique inverse", bad)
+            rev = _reversibility_witness(H, [c.indices()[0] for c in cands])
+            if rev is not None:
+                witnesses["is_polygroup"] = ("reversibility",) + rev
             else:
-                rev = _reversibility_witness(H, inv)
-                if rev is not None:
-                    witnesses["is_polygroup"] = ("reversibility",) + rev
-                else:
-                    poly = True
-    else:
-        witnesses["is_polygroup"] = witnesses["is_hypergroup"]
+                poly = True
     canon = poly and comm
     if not canon:
         witnesses["is_canonical"] = witnesses.get(

@@ -89,10 +89,6 @@ class InconsistentDerived(HyperError, RuntimeError):
     """The two derived-subhypergroup computations disagreed."""
 
 
-class CensusIncomplete(HyperError, RuntimeError):
-    """Complete-part checks refuse to run on a truncated product census."""
-
-
 class ResourceExhausted(HyperError, RuntimeError):
     """A configured cap or budget would be exceeded."""
 

@@ -25,12 +25,12 @@ from hyperkernel.core import (
     is_normal,
     is_subhypergroup,
     left_division,
+    per_table,
     product_closure,
     right_division,
 )
-from hyperkernel.groups import cosets, isomorphic
+from hyperkernel.groups import GroupTable, cosets, isomorphic
 from hyperkernel.relations import (
-    ProductCensus,
     QuotientStructure,
     beta,
     congruence_mod,
@@ -43,14 +43,10 @@ from hyperkernel.relations import (
     quotient_by,
 )
 
-def is_complete_part(H: HyperTable, C: ElementSet, census: ProductCensus) -> bool:
+def is_complete_part(H: HyperTable, C: ElementSet) -> bool:
     """C swallows every product set it meets."""
-    if not census.complete:
-        raise errors.CensusIncomplete("refusing to check against a truncated census")
-    if census.n != H.n:
-        raise errors.ShapeMismatch("census carrier differs from table")
     cm = C.mask
-    for p in census.masks:
+    for p in product_census(H).masks:
         if p & cm and p | cm != cm:
             return False
     return True
@@ -82,7 +78,6 @@ def subhypergroups(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> Su
     system is enumerated and filtered by the reproduction law.  budget
     bounds the product-closed sets visited.
     """
-    census = product_census(H)
     s_beta = kernel_S(H, beta(H)).mask
     s_gamma = kernel_S(H, gamma(H)).mask
     entries = []
@@ -95,7 +90,7 @@ def subhypergroups(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> Su
                 members=K,
                 closed=is_closed(H, K),
                 normal=is_normal(H, K),
-                complete_part=is_complete_part(H, K, census),
+                complete_part=is_complete_part(H, K),
                 conjugable=is_conjugable(H, K),
                 contains_S_beta=mask | s_beta == mask,
                 contains_S_gamma=mask | s_gamma == mask,
@@ -104,18 +99,14 @@ def subhypergroups(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> Su
     return SubLattice(tuple(entries))
 
 
-def _complete_part_subhypergroups(
-    H: HyperTable, census: ProductCensus, budget: int
-) -> list[int]:
+def _complete_part_subhypergroups(H: HyperTable, budget: int) -> list[int]:
     """Masks of the subhypergroups that are complete parts, ascending.
 
     Complete parts are closed under intersection too, so the closure
     adds, with every element x, each census set containing x.
     """
-    if not census.complete:
-        raise errors.CensusIncomplete("refusing to close over a truncated census")
     joins = [0] * H.n
-    for p in census.masks:
+    for p in product_census(H).masks:
         for x in bits(p):
             joins[x] |= p
     closure = product_closure(H, joins)
@@ -132,9 +123,8 @@ def heart(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> ElementSet:
     Cross-checked against the identity class of the fundamental group;
     any disagreement is an internal error, never a mathematical outcome.
     """
-    census = product_census(H)
     acc = H.full_mask
-    for mask in _complete_part_subhypergroups(H, census, budget):
+    for mask in _complete_part_subhypergroups(H, budget):
         acc &= mask
     via_kernel = kernel_S(H, beta(H))
     if acc != via_kernel.mask:
@@ -149,17 +139,16 @@ def _division_set(H: HyperTable) -> int:
 
     D gathers, over all pairs (x, y), the right divisions z/w and left
     divisions z\\w taken elementwise across the two product sets x*y and
-    y*x.
+    y*x.  Each distinct (z, w) is divided once.
     """
-    d = 0
+    pairs = set()
     for x in range(H.n):
         for y in range(H.n):
-            xy = H.rows[x][y]
-            yx = H.rows[y][x]
-            for z in bits(xy):
-                for w in bits(yx):
-                    d |= right_division(H, z, w).mask
-                    d |= left_division(H, w, z).mask
+            yx = tuple(bits(H.rows[y][x]))
+            pairs.update((z, w) for z in bits(H.rows[x][y]) for w in yx)
+    d = 0
+    for z, w in pairs:
+        d |= right_division(H, z, w).mask | left_division(H, w, z).mask
     return d
 
 
@@ -169,9 +158,8 @@ def derived(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> ElementSe
     Cross-checked against the identity class of gamma.
     """
     d = _division_set(H)
-    census = product_census(H)
     acc = H.full_mask
-    for mask in _complete_part_subhypergroups(H, census, budget):
+    for mask in _complete_part_subhypergroups(H, budget):
         if mask | d == mask:
             acc &= mask
     via_kernel = kernel_S(H, gamma(H))
@@ -194,6 +182,7 @@ def _coset_names(H: HyperTable, K: ElementSet, part: Partition) -> list[str]:
     return names
 
 
+@per_table
 def quotient_hypergroup(H: HyperTable, K: ElementSet, name: str | None = None) -> HyperTable:
     """Coset table H/K for a normal subhypergroup K.
 
@@ -217,24 +206,25 @@ def _coset_quotient(H: HyperTable, K: ElementSet) -> QuotientStructure | None:
     return quotient_by(H, part)
 
 
-def check_group_quotient(H: HyperTable, K: ElementSet) -> bool:
-    """Whether H/K is a single-valued group, for closed K."""
+def _closed_quotient_group(H: HyperTable, K: ElementSet) -> GroupTable | None:
+    """The group H/K for closed K, or None when H/K is not a group."""
     if not is_subhypergroup(H, K):
         raise errors.NotASubhypergroup("need a subhypergroup")
     if not is_closed(H, K):
         raise errors.NotClosed("need a closed subhypergroup")
     q = _coset_quotient(H, K)
-    return q is not None and q.is_group
+    return q.group if q is not None else None
+
+
+def check_group_quotient(H: HyperTable, K: ElementSet) -> bool:
+    """Whether H/K is a single-valued group, for closed K."""
+    return _closed_quotient_group(H, K) is not None
 
 
 def check_abelian_quotient(H: HyperTable, K: ElementSet) -> bool:
     """Whether H/K is an abelian group, for closed K."""
-    if not is_subhypergroup(H, K):
-        raise errors.NotASubhypergroup("need a subhypergroup")
-    if not is_closed(H, K):
-        raise errors.NotClosed("need a closed subhypergroup")
-    q = _coset_quotient(H, K)
-    return q is not None and q.is_group and q.group.is_abelian()
+    G = _closed_quotient_group(H, K)
+    return G is not None and G.is_abelian()
 
 
 @dataclass(frozen=True)

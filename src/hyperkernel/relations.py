@@ -26,6 +26,7 @@ from hyperkernel.core import (
     is_hypergroup,
     is_normal,
     is_subhypergroup,
+    per_table,
     product_closure,
 )
 from hyperkernel.groups import GroupTable, commutator_subgroup, cosets, validate_group
@@ -39,20 +40,18 @@ class ProductCensus:
     """All product sets of two or more elements, as masks over the carrier.
 
     Closed under right multiplication by every generator; first-discovery
-    order with generators taken in index order.  `complete` records that
-    the closure finished under the cap (a truncated census is never
-    returned by product_census, the flag exists for defensive checks).
+    order with generators taken in index order.  product_census raises
+    rather than return a truncated census.
     """
 
     n: int
     masks: tuple[int, ...]
-    generation_cap: int
-    complete: bool = True
 
     def sets(self) -> tuple[ElementSet, ...]:
         return tuple(ElementSet(self.n, m) for m in self.masks)
 
 
+@per_table
 def product_census(H: HyperTable, cap: int = DEFAULT_CENSUS_CAP) -> ProductCensus:
     """Breadth-first closure of singletons under right multiplication.
 
@@ -62,9 +61,10 @@ def product_census(H: HyperTable, cap: int = DEFAULT_CENSUS_CAP) -> ProductCensu
     masks = kernels.census(H.rows, H.n, cap)
     if masks is None:
         raise errors.CapExceeded(f"product census exceeds {cap} sets")
-    return ProductCensus(H.n, tuple(masks), cap)
+    return ProductCensus(H.n, tuple(masks))
 
 
+@per_table
 def beta(H: HyperTable, cap: int = DEFAULT_CENSUS_CAP) -> Partition:
     """Smallest strongly regular relation: common-product pairs, closed.
 
@@ -82,6 +82,7 @@ def beta(H: HyperTable, cap: int = DEFAULT_CENSUS_CAP) -> Partition:
     return uf.partition()
 
 
+@per_table
 def gamma(H: HyperTable, cap: int = DEFAULT_CENSUS_CAP) -> Partition:
     """Smallest strongly regular relation with a commutative quotient.
 
@@ -111,7 +112,7 @@ def gamma_oracle(
     Independent of gamma()'s census/quotient route by construction.
     """
     if nmax < 1:
-        raise errors.BudgetExceeded("nmax must be at least 1")
+        raise errors.HyperError(f"nmax must be at least 1, got {nmax}")
     total = sum(H.n**k for k in range(1, nmax + 1))
     if total > budget:
         raise errors.BudgetExceeded(
@@ -180,6 +181,7 @@ class QuotientStructure:
     group: GroupTable | None
 
 
+@per_table
 def quotient_by(H: HyperTable, R: Partition) -> QuotientStructure:
     """Quotient hyperoperation on classes, verified representative-free."""
     if R.n != H.n:

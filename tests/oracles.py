@@ -19,7 +19,7 @@ from hyperkernel.core import (
     is_subhypergroup,
 )
 from hyperkernel.quotients import SubEntry, _division_set, is_complete_part
-from hyperkernel.relations import beta, gamma, kernel_S, product_census
+from hyperkernel.relations import beta, gamma, kernel_S
 
 
 def all_class_assignments(n: int):
@@ -47,7 +47,6 @@ def powerset_subhypergroups(H: HyperTable) -> tuple[int, ...]:
 
 def subhypergroup_entries(H: HyperTable) -> tuple[SubEntry, ...]:
     """The lattice entries with flags, straight from the predicates."""
-    census = product_census(H)
     s_beta = kernel_S(H, beta(H)).mask
     s_gamma = kernel_S(H, gamma(H)).mask
     out = []
@@ -58,7 +57,7 @@ def subhypergroup_entries(H: HyperTable) -> tuple[SubEntry, ...]:
                 members=K,
                 closed=is_closed(H, K),
                 normal=is_normal(H, K),
-                complete_part=is_complete_part(H, K, census),
+                complete_part=is_complete_part(H, K),
                 conjugable=is_conjugable(H, K),
                 contains_S_beta=mask | s_beta == mask,
                 contains_S_gamma=mask | s_gamma == mask,
@@ -68,11 +67,10 @@ def subhypergroup_entries(H: HyperTable) -> tuple[SubEntry, ...]:
 
 
 def _complete_part_masks(H: HyperTable) -> list[int]:
-    census = product_census(H)
     return [
         mask
         for mask in powerset_subhypergroups(H)
-        if is_complete_part(H, ElementSet(H.n, mask), census)
+        if is_complete_part(H, ElementSet(H.n, mask))
     ]
 
 

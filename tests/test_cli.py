@@ -201,6 +201,15 @@ class TestFilesAndDeterminism:
         assert code == 0
         assert json.loads(out)["flags"]["is_canonical"]
 
+    def test_fixture_name_wins_over_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "h9").write_text(format_hyp(corpus.klein_four()), encoding="utf-8")
+        _, by_name, _ = run(capsys, "--json", "beta", "h9")
+        _, by_path, _ = run(capsys, "--json", "beta", "./h9")
+        _, v4, _ = run(capsys, "--json", "beta", "v4")
+        assert json.loads(by_name)["classes"][0] == ["a", "b", "c", "e"]
+        assert by_path == v4 != by_name
+
     def test_unknown_input(self, capsys):
         code, _, err = run(capsys, "beta", "definitely-missing")
         assert code == 1

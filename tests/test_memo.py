@@ -1,0 +1,124 @@
+"""The per-table memo: what it shares, what it never keeps, and a spy over
+the CLI asserting that no table runs a kernel twice in one command."""
+
+import pytest
+
+from hyperkernel import corpus, errors, kernels
+from hyperkernel.cli import main
+from hyperkernel.core import HyperTable, is_semihypergroup, per_table
+from hyperkernel.hypio import format_hyp
+from hyperkernel.relations import DEFAULT_CENSUS_CAP, beta, product_census
+
+
+def fresh(H: HyperTable) -> HyperTable:
+    """An equal table with an empty memo."""
+    return HyperTable(H.names, H.rows, H.name)
+
+
+class Spy:
+    """Counts kernel calls per table; keeps every rows tuple alive so that
+    no id is reused by a later table."""
+
+    def __init__(self, monkeypatch, *names):
+        self.calls: dict[tuple[str, int], int] = {}
+        self.alive = []
+        for name in names:
+            monkeypatch.setattr(kernels, name, self._wrap(name, getattr(kernels, name)))
+
+    def _wrap(self, name, fn):
+        def spied(rows, *args):
+            self.alive.append(rows)
+            key = (name, id(rows))
+            self.calls[key] = self.calls.get(key, 0) + 1
+            return fn(rows, *args)
+
+        return spied
+
+    def repeats(self) -> dict[tuple[str, int], int]:
+        return {key: k for key, k in self.calls.items() if k > 1}
+
+
+class TestPerTable:
+    def test_defaults_share_an_entry(self, monkeypatch):
+        H = fresh(corpus.h9())
+        spy = Spy(monkeypatch, "census")
+        b = beta(H)
+        assert beta(H, DEFAULT_CENSUS_CAP) is b
+        assert beta(H, cap=DEFAULT_CENSUS_CAP) is b
+        assert product_census(H, cap=DEFAULT_CENSUS_CAP) is product_census(H)
+        assert sum(spy.calls.values()) == 1
+
+    def test_other_arguments_get_their_own_entry(self):
+        H = fresh(corpus.h9())
+        assert product_census(H, 10_000) is not product_census(H)
+        assert product_census(H, 10_000).masks == product_census(H).masks
+
+    def test_exceptions_are_not_cached(self, monkeypatch):
+        H = fresh(corpus.h9())
+        spy = Spy(monkeypatch, "census")
+        for _ in range(2):
+            with pytest.raises(errors.CapExceeded):
+                beta(H, 3)
+        assert sum(spy.calls.values()) == 2
+        assert beta(H, 3 * DEFAULT_CENSUS_CAP) == beta(corpus.h9())
+
+    def test_equality_and_hash_ignore_the_memo(self):
+        H = fresh(corpus.h9())
+        G = fresh(corpus.h9())
+        is_semihypergroup(H)
+        assert H.memo and not G.memo
+        assert H == G and hash(H) == hash(G)
+
+    def test_memo_belongs_to_one_table(self, monkeypatch):
+        spy = Spy(monkeypatch, "assoc_witness")
+        H, G = fresh(corpus.h9()), fresh(corpus.h9())
+        assert is_semihypergroup(H) == is_semihypergroup(G) == (True, None)
+        is_semihypergroup(H)
+        assert sorted(spy.calls.values()) == [1, 1]
+
+    def test_keyword_and_positional_calls_agree(self):
+        calls = []
+
+        @per_table
+        def f(H, a, b=2):
+            calls.append((a, b))
+            return a + b
+
+        H = fresh(corpus.cyclic_group(2))
+        assert f(H, 1) == f(H, 1, 2) == f(H, a=1) == f(H, b=2, a=1) == 3
+        assert f(H, 1, 3) == 4
+        assert calls == [(1, 2), (1, 3)]
+
+
+@pytest.fixture
+def table_files(tmp_path):
+    paths = {}
+    for name in ("h9", "z2"):
+        path = tmp_path / f"{name}.hyp"
+        path.write_text(format_hyp(corpus.fixtures()[name]), encoding="utf-8")
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "h9"),
+        ("beta", "h9"),
+        ("gamma", "h9"),
+        ("quotient", "h9", "--sub", "e,a"),
+        ("quotient", "h9", "--sub", "e,a,b,c"),
+        ("subs", "h9"),
+        ("heart", "h9"),
+        ("derived", "h9"),
+        ("sr-enum", "h9"),
+        ("product", "h9", "z2"),
+    ],
+)
+def test_each_table_runs_each_kernel_once(capsys, monkeypatch, table_files, argv):
+    spy = Spy(monkeypatch, "assoc_witness", "census")
+    argv = [table_files.get(arg, arg) for arg in argv]
+    assert main(["--json", *argv]) == 0
+    capsys.readouterr()
+    assert spy.calls
+    assert spy.repeats() == {}

@@ -15,27 +15,18 @@ from hyperkernel.quotients import (
     quotient_hypergroup,
     subhypergroups,
 )
-from hyperkernel.relations import beta, gamma, kernel_S, product_census
+from hyperkernel.relations import beta, gamma, kernel_S
 
 
 class TestCompleteParts:
     def test_beta_identity_class_is_complete_part(self, h9):
-        census = product_census(h9)
-        assert is_complete_part(h9, h9.subset(["e", "a", "b", "c"]), census)
+        assert is_complete_part(h9, h9.subset(["e", "a", "b", "c"]))
 
     def test_small_subhypergroup_is_not(self, h9):
-        census = product_census(h9)
-        assert not is_complete_part(h9, h9.subset(["e", "a"]), census)
+        assert not is_complete_part(h9, h9.subset(["e", "a"]))
 
     def test_whole_carrier_is(self, h9):
-        assert is_complete_part(h9, h9.carrier(), product_census(h9))
-
-    def test_truncated_census_refused(self, h9):
-        from hyperkernel.relations import ProductCensus
-
-        partial = ProductCensus(h9.n, (1,), 1, complete=False)
-        with pytest.raises(errors.CensusIncomplete):
-            is_complete_part(h9, h9.carrier(), partial)
+        assert is_complete_part(h9, h9.carrier())
 
 
 class TestSubhypergroups:
@@ -245,10 +236,9 @@ class TestKernelClassification:
         for name, H in full_corpus.items():
             if H.n > 6:
                 continue
-            census = product_census(H)
             for R in enumerate_strongly_regular(H):
                 ker = kernel_S(H, R)
-                assert is_complete_part(H, ker, census), name
+                assert is_complete_part(H, ker), name
                 assert is_conjugable(H, ker), name
                 assert is_normal(H, ker), name
 

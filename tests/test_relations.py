@@ -111,6 +111,12 @@ class TestGamma:
         with pytest.raises(errors.BudgetExceeded):
             gamma_oracle(h9, nmax=4, budget=100)
 
+    @pytest.mark.parametrize("nmax", [0, -1])
+    def test_oracle_rejects_nmax_below_one(self, h9, nmax):
+        with pytest.raises(errors.HyperError, match="nmax must be at least 1") as info:
+            gamma_oracle(h9, nmax=nmax)
+        assert not isinstance(info.value, errors.ResourceExhausted)
+
     def test_oracle_short_products_already_suffice_on_h9(self, h9):
         # every related block of h9 appears inside some length-2 product
         assert gamma_oracle(h9, nmax=2) == beta(h9)
