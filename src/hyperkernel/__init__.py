@@ -5,8 +5,9 @@ relations and their quotients, subhypergroup classification, and
 symbolic reduced words in free products of strongly regular factors.
 """
 
-from hyperkernel.kernels import BACKEND
-
 __version__ = "0.1.0"
+
+# The kernels are pure Python; benchmark results record this name.
+BACKEND = "pure"
 
 __all__ = ["BACKEND", "__version__"]

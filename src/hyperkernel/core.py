@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -183,40 +184,19 @@ class Partition:
         return f"Partition({self.n}, {blocks})"
 
 
-class UnionFind:
-    """Union-find with path compression; roots stay the least member."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-    def partition(self) -> Partition:
-        return Partition(len(self.parent), [self.find(i) for i in self.parent])
+_LABEL = re.compile(r"[^\s{},:#@*\"']+")
 
 
-_LABEL_BAD = set("{},:#@*\"'")
+def is_label(lab: str) -> bool:
+    """Nonempty, with no whitespace and none of the characters {},:#@*"'."""
+    return _LABEL.fullmatch(lab) is not None
 
 
 def _check_names(names: Sequence[str]) -> tuple[str, ...]:
     out = tuple(names)
     seen = set()
     for lab in out:
-        if not lab or any(ch.isspace() or ch in _LABEL_BAD for ch in lab):
+        if not is_label(lab):
             raise errors.InvalidTable(f"bad element label {lab!r}")
         if lab in seen:
             raise errors.InvalidTable(f"duplicate element label {lab!r}")

@@ -19,18 +19,15 @@ lexicographically, byte-identical for identical inputs.
 from __future__ import annotations
 
 import json
-import re
 from pathlib import Path
 from typing import Sequence
 
 from hyperkernel import errors
-from hyperkernel.core import ElementSet, HyperTable, Partition
-
-_LABEL_RE = re.compile(r"[^\s{},:#@*\"']+$")
+from hyperkernel.core import ElementSet, HyperTable, Partition, is_label
 
 
 def _check_label(lab: str, line: int | None) -> str:
-    if not _LABEL_RE.match(lab):
+    if not is_label(lab):
         raise errors.ParseError(f"bad label {lab!r}", line)
     return lab
 

@@ -1,0 +1,169 @@
+"""The hot kernels: scans of a Cayley table held as bitmask rows.
+
+Every function takes the table as a nested sequence of bitmasks (rows[a][b]
+is the cell a*b) and speaks plain ints and lists.  The module imports
+nothing from the package, so core and relations can build on it.
+"""
+
+from itertools import combinations_with_replacement, permutations
+
+
+class UnionFind:
+    """Union-find with path compression; roots stay the least member."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        p = self.parent
+        while p[i] != i:
+            p[i] = p[p[i]]
+            i = p[i]
+        return i
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+    def roots(self) -> list[int]:
+        """The root of each element: the least member of its class."""
+        return [self.find(i) for i in range(len(self.parent))]
+
+
+def assoc_witness(rows, n):
+    """Least triple (packed a*n*n + b*n + c) breaking associativity, or -1."""
+    for a in range(n):
+        ra = rows[a]
+        for b in range(n):
+            ab = ra[b]
+            for c in range(n):
+                left = 0
+                m = ab
+                while m:
+                    low = m & -m
+                    left |= rows[low.bit_length() - 1][c]
+                    m ^= low
+                right = 0
+                m = rows[b][c]
+                while m:
+                    low = m & -m
+                    right |= ra[low.bit_length() - 1]
+                    m ^= low
+                if left != right:
+                    return (a * n + b) * n + c
+    return -1
+
+
+def census(rows, n, cap):
+    """All product sets of length >= 2 as masks, in first-discovery order.
+
+    Breadth-first closure of the singletons under right multiplication by
+    each generator, generators taken in index order.  Returns None when
+    more than `cap` distinct sets appear.
+    """
+    out = []
+    products = set()
+    extended = set()
+    queue = [1 << i for i in range(n)]
+    qi = 0
+    while qi < len(queue):
+        s = queue[qi]
+        qi += 1
+        if s in extended:
+            continue
+        extended.add(s)
+        for x in range(n):
+            t = 0
+            m = s
+            while m:
+                low = m & -m
+                t |= rows[low.bit_length() - 1][x]
+                m ^= low
+            if t not in products:
+                products.add(t)
+                out.append(t)
+                if len(out) > cap:
+                    return None
+            if t not in extended:
+                queue.append(t)
+    return out
+
+
+def met_sets(rows, class_of):
+    """met[a][x] = bitmask of the class ids that the cell a*x meets."""
+    cls_mask = [1 << c for c in class_of]
+    cache = {}
+    met = []
+    for ra in rows:
+        line = []
+        for cell in ra:
+            v = cache.get(cell)
+            if v is None:
+                v = 0
+                m = cell
+                while m:
+                    low = m & -m
+                    v |= cls_mask[low.bit_length() - 1]
+                    m ^= low
+                cache[cell] = v
+            line.append(v)
+        met.append(line)
+    return met
+
+
+def regular(met, class_of):
+    """True iff related elements meet the same classes cell by cell, in
+    their rows and in their columns of the met-sets `met`."""
+    first = {}
+    for a, c in enumerate(class_of):
+        b = first.setdefault(c, a)
+        if b != a and (met[a] != met[b] or any(line[a] != line[b] for line in met)):
+            return False
+    return True
+
+
+def sr_check(rows, n, class_of):
+    """True iff the partition given by class_of is strongly regular.
+
+    Both quantified conditions reduce to: every cell lands inside one
+    class, and related elements meet the same classes on both sides.
+    """
+    met = met_sets(rows, class_of)
+    return all(v & (v - 1) == 0 for line in met for v in line) and regular(met, class_of)
+
+
+def oracle_merge(rows, n, nmax):
+    """Union-find roots after relating all permuted-product overlaps.
+
+    For every tuple of length <= nmax, every element of every product of
+    a reordering of that tuple is merged into one block (tuples with the
+    same multiset are exactly each other's reorderings).  Returns the
+    root of each element, the least member of its block.
+    """
+    uf = UnionFind(n)
+    for k in range(1, nmax + 1):
+        for combo in combinations_with_replacement(range(n), k):
+            block = 0
+            for tup in set(permutations(combo)):
+                mask = 1 << tup[0]
+                for t in tup[1:]:
+                    nxt = 0
+                    m = mask
+                    while m:
+                        low = m & -m
+                        nxt |= rows[low.bit_length() - 1][t]
+                        m ^= low
+                    mask = nxt
+                block |= mask
+            anchor = (block & -block).bit_length() - 1
+            block &= block - 1
+            while block:
+                low = block & -block
+                uf.union(anchor, low.bit_length() - 1)
+                block ^= low
+    return uf.roots()

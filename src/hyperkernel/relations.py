@@ -12,7 +12,6 @@ route over permuted tuples, kept for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from hyperkernel import errors, kernels
 from hyperkernel.core import (
@@ -20,7 +19,6 @@ from hyperkernel.core import (
     ElementSet,
     HyperTable,
     Partition,
-    UnionFind,
     bits,
     closed_sets,
     is_hypergroup,
@@ -71,7 +69,7 @@ def beta(H: HyperTable, cap: int = DEFAULT_CENSUS_CAP) -> Partition:
     Elements sharing a product set are merged; union-find supplies the
     transitive closure needed on bare semihypergroups.
     """
-    uf = UnionFind(H.n)
+    uf = kernels.UnionFind(H.n)
     for mask in product_census(H, cap).masks:
         first = -1
         for e in bits(mask):
@@ -79,7 +77,7 @@ def beta(H: HyperTable, cap: int = DEFAULT_CENSUS_CAP) -> Partition:
                 first = e
             else:
                 uf.union(first, e)
-    return uf.partition()
+    return Partition(H.n, uf.roots())
 
 
 @per_table
@@ -122,48 +120,18 @@ def gamma_oracle(
     return Partition(H.n, parents)
 
 
-def _met_sets(H: HyperTable, R: Partition) -> list[list[int]]:
-    """met[a][x] = bitmask of class ids met by the cell a*x."""
-    cls_mask = [1 << c for c in R.class_of]
-    cache: dict[int, int] = {}
-
-    def met(mask: int) -> int:
-        v = cache.get(mask)
-        if v is None:
-            v = 0
-            for e in bits(mask):
-                v |= cls_mask[e]
-            cache[mask] = v
-        return v
-
-    return [[met(H.rows[a][x]) for x in range(H.n)] for a in range(H.n)]
-
-
-def _related_pairs(R: Partition) -> Iterable[tuple[int, int]]:
-    for block in R.classes:
-        members = block.indices()
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                yield members[i], members[j]
-
-
 def is_regular(H: HyperTable, R: Partition) -> bool:
     """Related elements meet the same classes on both sides, cell by cell."""
     if R.n != H.n:
         raise errors.ShapeMismatch("partition carrier differs from table")
-    met = _met_sets(H, R)
-    for a, b in _related_pairs(R):
-        for x in range(H.n):
-            if met[a][x] != met[b][x] or met[x][a] != met[x][b]:
-                return False
-    return True
+    return kernels.regular(kernels.met_sets(H.rows, R.class_of), R.class_of)
 
 
 def is_strongly_regular(H: HyperTable, R: Partition) -> bool:
     """Regular with whole cells landing inside single classes."""
     if R.n != H.n:
         raise errors.ShapeMismatch("partition carrier differs from table")
-    return kernels.sr_check(H.rows, H.n, list(R.class_of))
+    return kernels.sr_check(H.rows, H.n, R.class_of)
 
 
 @dataclass(frozen=True)
@@ -174,7 +142,6 @@ class QuotientStructure:
     valued and pass group validation, never assumed from the relation.
     """
 
-    parent: HyperTable
     relation: Partition
     table: HyperTable
     is_group: bool
@@ -186,7 +153,7 @@ def quotient_by(H: HyperTable, R: Partition) -> QuotientStructure:
     """Quotient hyperoperation on classes, verified representative-free."""
     if R.n != H.n:
         raise errors.ShapeMismatch("partition carrier differs from table")
-    met = _met_sets(H, R)
+    met = kernels.met_sets(H.rows, R.class_of)
     k = len(R.classes)
     reps = [c.indices()[0] for c in R.classes]
     cells = [[met[reps[i]][reps[j]] for j in range(k)] for i in range(k)]
@@ -211,7 +178,7 @@ def quotient_by(H: HyperTable, R: Partition) -> QuotientStructure:
             )
         except errors.InvalidGroupTable:
             group = None
-    return QuotientStructure(H, R, table, group is not None, group)
+    return QuotientStructure(R, table, group is not None, group)
 
 
 def kernel_S(H: HyperTable, R: Partition) -> ElementSet:
@@ -250,13 +217,13 @@ def join(R1: Partition, R2: Partition) -> Partition:
     """Smallest equivalence containing both."""
     if R1.n != R2.n:
         raise errors.ShapeMismatch("partitions over different carriers")
-    uf = UnionFind(R1.n)
+    uf = kernels.UnionFind(R1.n)
     for part in (R1, R2):
         for block in part.classes:
             members = block.indices()
             for m in members[1:]:
                 uf.union(members[0], m)
-    return uf.partition()
+    return Partition(R1.n, uf.roots())
 
 
 def enumerate_strongly_regular(

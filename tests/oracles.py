@@ -3,12 +3,13 @@
 The library enumerates subhypergroups, complete-part subhypergroups and
 strongly regular relations through closure systems.  These are the
 independent exhaustive routes they are checked against: a scan over all
-2^n subsets and a scan over all Bell(n) partitions.  Test use only.
+2^n subsets and a scan over all Bell(n) partitions, which tests each
+partition against the definitions of regular and strongly regular
+relations, not through hyperkernel.kernels.  Test use only.
 """
 
 from functools import lru_cache
 
-from hyperkernel import kernels
 from hyperkernel.core import (
     ElementSet,
     HyperTable,
@@ -92,12 +93,38 @@ def derived(H: HyperTable) -> ElementSet:
     return ElementSet(H.n, acc)
 
 
+def _related_cells(H: HyperTable, R: Partition):
+    """(a*x, b*x) and (x*a, x*b) as index lists, for all a R b and all x."""
+    for a in range(H.n):
+        for b in range(H.n):
+            if R.relates(a, b):
+                for x in range(H.n):
+                    yield H.cell(a, x).indices(), H.cell(b, x).indices()
+                    yield H.cell(x, a).indices(), H.cell(x, b).indices()
+
+
+def is_regular(H: HyperTable, R: Partition) -> bool:
+    """a R b implies that each element of a*x is related to some element of
+    b*x and each element of b*x to some element of a*x, and the same for
+    x*a and x*b, for every x."""
+
+    def covered(A, B):
+        return all(any(R.relates(u, v) for v in B) for u in A)
+
+    return all(covered(A, B) and covered(B, A) for A, B in _related_cells(H, R))
+
+
+def is_strongly_regular(H: HyperTable, R: Partition) -> bool:
+    """a R b implies that every element of a*x is related to every element
+    of b*x, and the same for x*a and x*b, for every x."""
+    return all(
+        R.relates(u, v) for A, B in _related_cells(H, R) for u in A for v in B
+    )
+
+
 def strongly_regular(H: HyperTable) -> list[Partition]:
     """Every strongly regular partition, by testing all Bell(n) of them."""
-    found = [
-        Partition(H.n, class_of)
-        for class_of in all_class_assignments(H.n)
-        if kernels.sr_check(H.rows, H.n, list(class_of))
-    ]
+    partitions = (Partition(H.n, class_of) for class_of in all_class_assignments(H.n))
+    found = [R for R in partitions if is_strongly_regular(H, R)]
     found.sort(key=Partition.sort_key)
     return found

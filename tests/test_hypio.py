@@ -77,6 +77,12 @@ class TestJson:
         with pytest.raises(errors.EmptyCell):
             parse_hyp_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("label", ["a\n", "a b", "", "a*"])
+    def test_bad_label_is_a_parse_error(self, label):
+        doc = {"elements": [label], "table": [[[label]]]}
+        with pytest.raises(errors.ParseError):
+            parse_hyp_json(json.dumps(doc))
+
 
 class TestRoundTrip:
     def test_all_fixtures(self):

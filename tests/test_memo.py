@@ -1,13 +1,16 @@
 """The per-table memo: what it shares, what it never keeps, and a spy over
 the CLI asserting that no table runs a kernel twice in one command."""
 
+import gc
+import weakref
+
 import pytest
 
 from hyperkernel import corpus, errors, kernels
 from hyperkernel.cli import main
 from hyperkernel.core import HyperTable, is_semihypergroup, per_table
 from hyperkernel.hypio import format_hyp
-from hyperkernel.relations import DEFAULT_CENSUS_CAP, beta, product_census
+from hyperkernel.relations import DEFAULT_CENSUS_CAP, beta, product_census, quotient_by
 
 
 def fresh(H: HyperTable) -> HyperTable:
@@ -75,6 +78,18 @@ class TestPerTable:
         assert is_semihypergroup(H) == is_semihypergroup(G) == (True, None)
         is_semihypergroup(H)
         assert sorted(spy.calls.values()) == [1, 1]
+
+    def test_memo_makes_no_reference_cycle(self):
+        # a memoised result that referred back to its table would keep the
+        # table alive until the cyclic collector ran
+        H = fresh(corpus.h9())
+        q = weakref.ref(quotient_by(H, beta(H)))
+        gc.disable()
+        try:
+            del H
+            assert q() is None
+        finally:
+            gc.enable()
 
     def test_keyword_and_positional_calls_agree(self):
         calls = []
