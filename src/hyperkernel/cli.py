@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 any error, 2 cap or budget exhaustion.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -21,8 +20,6 @@ from hyperkernel import corpus as corpus_mod
 from hyperkernel import core, freeprod, hypio, quotients, relations
 from hyperkernel.core import ElementSet, HyperTable
 from hyperkernel.hypio import emit_report, partition_labels, set_labels, table_doc
-
-CENSUS_CAP_ENV = "HYPERKERNEL_CENSUS_CAP"
 
 
 def _load(arg: str) -> HyperTable:
@@ -46,18 +43,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _census_cap(args) -> int:
-    if args.census_cap is not None:
-        return args.census_cap
-    env = os.environ.get(CENSUS_CAP_ENV)
-    if env:
-        try:
-            return _positive_int(env)
-        except argparse.ArgumentTypeError as exc:
-            raise errors.ParseError(f"{CENSUS_CAP_ENV}: {exc}") from None
-    return relations.DEFAULT_CENSUS_CAP
-
-
 def _parse_subset(H: HyperTable, members: str) -> ElementSet:
     labels = [tok.strip() for tok in members.split(",") if tok.strip()]
     if not labels:
@@ -65,7 +50,7 @@ def _parse_subset(H: HyperTable, members: str) -> ElementSet:
     return H.subset(labels)
 
 
-def _quotient_doc(q: relations.QuotientStructure, names) -> dict:
+def _quotient_doc(q: relations.QuotientStructure) -> dict:
     return {
         "elements": list(q.table.names),
         "table": table_doc(q.table)["table"],
@@ -137,7 +122,7 @@ def _fundamental_doc(H: HyperTable, R) -> dict:
     q = relations.quotient_by(H, R)
     doc = {
         "classes": partition_labels(H.names, R),
-        "quotient": _quotient_doc(q, H.names),
+        "quotient": _quotient_doc(q),
     }
     if q.is_group:
         doc["kernel"] = set_labels(H.names, relations.kernel_S(H, R))
@@ -146,18 +131,17 @@ def _fundamental_doc(H: HyperTable, R) -> dict:
 
 def _cmd_beta(args) -> dict:
     H = _load(args.table)
-    return _fundamental_doc(H, relations.beta(H, _census_cap(args)))
+    return _fundamental_doc(H, relations.beta(H))
 
 
 def _cmd_gamma(args) -> dict:
     H = _load(args.table)
-    cap = _census_cap(args)
     if args.oracle:
         doc = _fundamental_doc(H, relations.gamma_oracle(H, nmax=args.nmax))
         doc["route"] = "oracle"
         doc["nmax"] = args.nmax
     else:
-        doc = _fundamental_doc(H, relations.gamma(H, cap))
+        doc = _fundamental_doc(H, relations.gamma(H))
         doc["route"] = "commutator"
     return doc
 
@@ -282,6 +266,8 @@ def _cmd_sr_enum(args) -> dict:
 
 def _parse_word(reg: freeprod.FactorRegistry, text: str) -> freeprod.ReducedWord:
     toks = text.split()
+    if not toks:
+        raise errors.ParseError("empty word; the empty word is written 1")
     if toks == ["1"]:
         return freeprod.EMPTY_WORD
     letters = []
@@ -355,13 +341,6 @@ def _add_globals(parser: argparse.ArgumentParser, suppress: bool) -> None:
         type=int,
         default=argparse.SUPPRESS if suppress else 0,
         help="sampling seed",
-    )
-    parser.add_argument(
-        "--census-cap",
-        type=_positive_int,
-        default=argparse.SUPPRESS if suppress else None,
-        help=f"product census cap (default {relations.DEFAULT_CENSUS_CAP}, "
-        f"overridable via {CENSUS_CAP_ENV})",
     )
 
 
@@ -446,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["eval", "psi", "conjectures"])
     p.add_argument("expr", nargs="?", default="1")
     p.add_argument("--subs", default=None, help="per-factor members, ';'-separated")
-    p.add_argument("--max-len", dest="max_len", type=int, default=2)
+    p.add_argument("--max-len", dest="max_len", type=_positive_int, default=2)
     p.set_defaults(func=_cmd_freeprod)
 
     return parser

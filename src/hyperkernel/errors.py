@@ -101,10 +101,6 @@ class BudgetExceeded(ResourceExhausted):
     pass
 
 
-class SizeExceeded(ResourceExhausted):
-    """Brute-force search bound exceeded (isomorphism testing)."""
-
-
 class HypFormatError(HyperError, ValueError):
     """Problem in a .hyp or .json table document."""
 

@@ -33,8 +33,18 @@ from hyperkernel.groups import (
     DirectSumElement,
     DirectSumFamily,
     GroupTable,
+    direct_sum_add,
+    isomorphic,
 )
-from hyperkernel.relations import Partition, beta, quotient_by
+from hyperkernel.quotients import quotient_hypergroup
+from hyperkernel.relations import (
+    Partition,
+    beta,
+    congruence_mod,
+    gamma,
+    kernel_S,
+    quotient_by,
+)
 
 DEFAULT_WORD_BUDGET = 1_000_000
 
@@ -298,8 +308,6 @@ def phi(registry: FactorRegistry, w: ReducedWord) -> ReducedWord:
 
 def psi(family: DirectSumFamily, w: ReducedWord) -> DirectSumElement:
     """Sum of the abelianized letter images, componentwise."""
-    from hyperkernel.groups import direct_sum_add
-
     acc = family.zero()
     for l in w.letters:
         if not 0 <= l.factor < len(family.groups):
@@ -421,9 +429,6 @@ def quotient_conjecture_report(
     subs: Sequence,
     max_len: int = 2,
 ) -> QuotientConjectureReport:
-    from hyperkernel.quotients import quotient_hypergroup
-    from hyperkernel.relations import congruence_mod, gamma, kernel_S
-
     if len(factors) != len(subs):
         raise errors.ShapeMismatch("one subhypergroup per factor required")
     base = FactorRegistry(factors)
@@ -475,15 +480,20 @@ def quotient_conjecture_report(
         quotient_hypergroup(H, L) for H, L in zip(factors, lifted)
     ]
     treg = FactorRegistry(fund_targets)
-    from hyperkernel.groups import isomorphic
-
-    per_factor_iso = all(
-        isomorphic(qreg.fundamental_groups[i], treg.fundamental_groups[i])[0]
-        for i in range(len(factors))
-    )
     fund_maps = [
         congruence_mod(H, L).class_of for H, L in zip(factors, lifted)
     ]
+    # The canonical map sends the fundamental class of x's coset modulo
+    # K_i to the class of x's coset modulo S_i K_i.
+    per_factor_iso = all(
+        isomorphic(
+            qreg.fundamental_groups[i],
+            treg.fundamental_groups[i],
+            [qreg.betas[i].class_of[c] for c in coset_maps[i]],
+            [treg.betas[i].class_of[c] for c in fund_maps[i]],
+        )
+        for i in range(len(factors))
+    )
     fund_images = _letterwise_images(base_words, treg, fund_maps)
     distinct_fund = {ws.words[0] for ws in fund_images.values()}
     t_words = enumerate_words(treg, max_len)

@@ -2,8 +2,8 @@
 
 Covers what the quotient side of the library needs: validation,
 subgroup closure, commutator subgroups, abelianization, cosets and
-quotient groups, brute-force isomorphism, and finitely supported direct
-sums of abelianized factors.
+quotient groups, the isomorphism check of a canonical map, and finitely
+supported direct sums of abelianized factors.
 """
 
 from __future__ import annotations
@@ -66,14 +66,6 @@ class GroupTable:
             return self._index[label]
         except KeyError:
             raise errors.UnknownLabel(f"unknown element {label!r}") from None
-
-    def order_of(self, a: int) -> int:
-        x = a
-        k = 1
-        while x != self.identity:
-            x = self.rows[x][a]
-            k += 1
-        return k
 
     def is_abelian(self) -> bool:
         return all(
@@ -200,76 +192,31 @@ def direct_product_group(G1: GroupTable, G2: GroupTable) -> GroupTable:
     return GroupTable(names, rows)
 
 
-_ISO_MAX = 16
+def isomorphic(
+    G1: GroupTable, G2: GroupTable, f1: Sequence[int], f2: Sequence[int]
+) -> bool:
+    """Whether f1[x] -> f2[x] is an isomorphism from G1 onto G2.
 
-
-def isomorphic(G1: GroupTable, G2: GroupTable) -> tuple[bool, tuple[int, ...] | None]:
-    """Brute-force isomorphism test, order-profile pruned.
-
-    Returns (found, mapping) where mapping[i] is the image of i.  Only
-    intended for small groups; refuses above order 16.
+    f1 and f2 send the same points x into G1 and G2, as two canonical
+    projections do; the map is read off those pairs, so it must be well
+    defined, cover G1, be injective and respect the products.
     """
-    if G1.n != G2.n:
-        return False, None
-    if G1.n > _ISO_MAX:
-        raise errors.SizeExceeded(f"isomorphism search capped at order {_ISO_MAX}")
-    n = G1.n
-    ord1 = [G1.order_of(a) for a in range(n)]
-    ord2 = [G2.order_of(a) for a in range(n)]
-    if sorted(ord1) != sorted(ord2):
-        return False, None
-
-    # Small generating sequence of G1 by greedy closure.
-    gens: list[int] = []
-    closure = subgroup_generated(G1, ())
-    while len(closure) < n:
-        nxt = next(a for a in range(n) if a not in closure)
-        gens.append(nxt)
-        closure = subgroup_generated(G1, gens)
-
-    # Words expressing every element of G1 through the generators, so a
-    # candidate generator assignment extends to at most one homomorphism.
-    expr: dict[int, tuple[int, ...]] = {G1.identity: ()}
-    frontier = [G1.identity]
-    while frontier:
-        a = frontier.pop(0)
-        for gi, g in enumerate(gens):
-            b = G1.rows[a][g]
-            if b not in expr:
-                expr[b] = expr[a] + (gi,)
-                frontier.append(b)
-
-    def extend(images: list[int]) -> tuple[int, ...] | None:
-        phi = [0] * n
-        for a in range(n):
-            v = G2.identity
-            for gi in expr[a]:
-                v = G2.rows[v][images[gi]]
-            phi[a] = v
-        if len(set(phi)) != n:
-            return None
-        for a in range(n):
-            for b in range(n):
-                if phi[G1.rows[a][b]] != G2.rows[phi[a]][phi[b]]:
-                    return None
-        return tuple(phi)
-
-    def backtrack(k: int, images: list[int]) -> tuple[int, ...] | None:
-        if k == len(gens):
-            return extend(images)
-        want = ord1[gens[k]]
-        for cand in range(n):
-            if ord2[cand] != want:
-                continue
-            images.append(cand)
-            found = backtrack(k + 1, images)
-            if found is not None:
-                return found
-            images.pop()
-        return None
-
-    mapping = backtrack(0, [])
-    return (mapping is not None), mapping
+    if G1.n != G2.n or len(f1) != len(f2):
+        return False
+    phi = [-1] * G1.n
+    for a, b in zip(f1, f2):
+        if phi[a] == -1:
+            phi[a] = b
+        elif phi[a] != b:
+            return False
+    if -1 in phi or len(set(phi)) != G1.n:
+        return False
+    rows1, rows2 = G1.rows, G2.rows
+    return all(
+        phi[rows1[a][b]] == rows2[phi[a]][phi[b]]
+        for a in range(G1.n)
+        for b in range(G1.n)
+    )
 
 
 class DirectSumFamily:

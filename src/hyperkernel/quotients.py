@@ -18,6 +18,7 @@ from hyperkernel.core import (
     Partition,
     bits,
     closed_sets,
+    direct_product,
     hyperproduct,
     is_canonical,
     is_closed,
@@ -28,8 +29,9 @@ from hyperkernel.core import (
     per_table,
     product_closure,
     right_division,
+    scalar_identity,
 )
-from hyperkernel.groups import GroupTable, cosets, isomorphic
+from hyperkernel.groups import GroupTable, cosets, direct_product_group, isomorphic
 from hyperkernel.relations import (
     QuotientStructure,
     beta,
@@ -264,14 +266,21 @@ def _correspondence_for(
     projected = ElementSet.from_indices(Q.n, {sigma.class_of[t] for t in lifted})
     kernel_match = s_bold == projected
 
-    # Quotient of the quotient vs quotient by the lifted kernel.
+    # Quotient of the quotient vs quotient by the lifted kernel, through
+    # the canonical map that sends x's class in the first to its class in
+    # the second.
     g_left = quotient_by(Q, rho_Q).group
     gq = _coset_quotient(H, lifted)
-    g_right = gq.group if gq is not None else None
     quotient_iso = (
         g_left is not None
-        and g_right is not None
-        and isomorphic(g_left, g_right)[0]
+        and gq is not None
+        and gq.group is not None
+        and isomorphic(
+            g_left,
+            gq.group,
+            [rho_Q.class_of[q] for q in sigma.class_of],
+            gq.relation.class_of,
+        )
     )
 
     # Pullback through the cosets, the join, and the pullback through rho
@@ -311,8 +320,6 @@ def correspondence_check(H: HyperTable, K: ElementSet) -> CorrespondenceReport:
         raise errors.NotCanonical("need a canonical hypergroup")
     if not is_subhypergroup(H, K):
         raise errors.NotASubhypergroup("need a subhypergroup")
-    from hyperkernel.core import scalar_identity
-
     e = scalar_identity(H)
     if e is None or e not in K:
         raise errors.NotCanonical("subhypergroup must contain the identity")
@@ -334,10 +341,11 @@ class ProductIdentitiesReport:
 def product_identities_check(
     H1: HyperTable, H2: HyperTable, budget: int = 64
 ) -> ProductIdentitiesReport:
-    """Kernel and commutative-quotient identities of a direct product."""
-    from hyperkernel.core import direct_product
-    from hyperkernel.groups import direct_product_group
+    """Kernel and commutative-quotient identities of a direct product.
 
+    The quotient identity checks the canonical map sending the gamma
+    class of a pair to the pair of gamma classes of its coordinates.
+    """
     if H1.n * H2.n > budget:
         raise errors.BudgetExceeded(
             f"product carrier {H1.n * H2.n} exceeds budget {budget}"
@@ -349,14 +357,20 @@ def product_identities_check(
     expected = ElementSet.from_indices(
         P.n, (i1 * H2.n + i2 for i1 in s1 for i2 in s2)
     )
-    g_p = quotient_by(P, gamma(P)).group
-    g_1 = quotient_by(H1, gamma(H1)).group
-    g_2 = quotient_by(H2, gamma(H2)).group
+    rho_p, rho_1, rho_2 = gamma(P), gamma(H1), gamma(H2)
+    g_p = quotient_by(P, rho_p).group
+    g_1 = quotient_by(H1, rho_1).group
+    g_2 = quotient_by(H2, rho_2).group
     iso = (
         g_p is not None
         and g_1 is not None
         and g_2 is not None
-        and isomorphic(g_p, direct_product_group(g_1, g_2))[0]
+        and isomorphic(
+            g_p,
+            direct_product_group(g_1, g_2),
+            rho_p.class_of,
+            [c1 * g_2.n + c2 for c1 in rho_1.class_of for c2 in rho_2.class_of],
+        )
     )
     return ProductIdentitiesReport(sp == expected, iso, sp, expected)
 

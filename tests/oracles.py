@@ -5,7 +5,10 @@ strongly regular relations through closure systems.  These are the
 independent exhaustive routes they are checked against: a scan over all
 2^n subsets and a scan over all Bell(n) partitions, which tests each
 partition against the definitions of regular and strongly regular
-relations, not through hyperkernel.kernels.  Test use only.
+relations, not through hyperkernel.kernels.  The library checks the
+quotient identities through the canonical map each one names; the
+backtracking isomorphism search here is the independent route that asks
+only whether some isomorphism exists.  Test use only.
 """
 
 from functools import lru_cache
@@ -19,6 +22,7 @@ from hyperkernel.core import (
     is_normal,
     is_subhypergroup,
 )
+from hyperkernel.groups import GroupTable, subgroup_generated
 from hyperkernel.quotients import SubEntry, _division_set, is_complete_part
 from hyperkernel.relations import beta, gamma, kernel_S
 
@@ -128,3 +132,74 @@ def strongly_regular(H: HyperTable) -> list[Partition]:
     found = [R for R in partitions if is_strongly_regular(H, R)]
     found.sort(key=Partition.sort_key)
     return found
+
+
+def _element_orders(G: GroupTable) -> list[int]:
+    orders = []
+    for a in range(G.n):
+        x, k = a, 1
+        while x != G.identity:
+            x, k = G.rows[x][a], k + 1
+        orders.append(k)
+    return orders
+
+
+def find_isomorphism(G1: GroupTable, G2: GroupTable) -> tuple[int, ...] | None:
+    """Some isomorphism G1 -> G2 as a tuple of images, or None.
+
+    Backtracks over images of a greedy generating sequence of G1, each
+    image of the same element order, and extends every assignment
+    through fixed words in the generators.
+    """
+    if G1.n != G2.n:
+        return None
+    n = G1.n
+    ord1, ord2 = _element_orders(G1), _element_orders(G2)
+    if sorted(ord1) != sorted(ord2):
+        return None
+
+    gens: list[int] = []
+    closure = subgroup_generated(G1, ())
+    while len(closure) < n:
+        gens.append(next(a for a in range(n) if a not in closure))
+        closure = subgroup_generated(G1, gens)
+
+    # Words expressing every element of G1 through the generators, so a
+    # generator assignment extends to at most one homomorphism.
+    expr: dict[int, tuple[int, ...]] = {G1.identity: ()}
+    frontier = [G1.identity]
+    while frontier:
+        a = frontier.pop(0)
+        for gi, g in enumerate(gens):
+            b = G1.rows[a][g]
+            if b not in expr:
+                expr[b] = expr[a] + (gi,)
+                frontier.append(b)
+
+    def extend(images: list[int]) -> tuple[int, ...] | None:
+        phi = [0] * n
+        for a in range(n):
+            v = G2.identity
+            for gi in expr[a]:
+                v = G2.rows[v][images[gi]]
+            phi[a] = v
+        if len(set(phi)) != n:
+            return None
+        for a in range(n):
+            for b in range(n):
+                if phi[G1.rows[a][b]] != G2.rows[phi[a]][phi[b]]:
+                    return None
+        return tuple(phi)
+
+    def backtrack(images: list[int]) -> tuple[int, ...] | None:
+        if len(images) == len(gens):
+            return extend(images)
+        want = ord1[gens[len(images)]]
+        for cand in range(n):
+            if ord2[cand] == want:
+                found = backtrack(images + [cand])
+                if found is not None:
+                    return found
+        return None
+
+    return backtrack([])

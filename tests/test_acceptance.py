@@ -3,10 +3,12 @@ printed line per criterion (run with -s or -v to see them)."""
 
 import random
 
+from oracles import find_isomorphism
+
 from hyperkernel import corpus, freeprod as fp
 from hyperkernel.cli import main as cli_main
 from hyperkernel.core import hyperproduct, is_canonical, scalar_identity
-from hyperkernel.groups import direct_sum_add, isomorphic
+from hyperkernel.groups import direct_sum_add
 from hyperkernel.hypio import format_hyp, parse_hyp
 from hyperkernel.quotients import (
     check_abelian_quotient,
@@ -38,7 +40,7 @@ def test_criterion_01_fundamental_relation_of_the_nine_element_table(h9):
     assert classes == {("e", "a", "b", "c"), ("x", "y"), ("z", "u"), ("v",)}
     q = quotient_by(h9, b)
     assert q.is_group
-    assert isomorphic(q.group, corpus.v4_group_table())[0]
+    assert find_isomorphism(q.group, corpus.v4_group_table()) is not None
     assert kernel_S(h9, b) == h9.subset(["e", "a", "b", "c"])
     _passed(1, "nine-element fundamental relation")
 

@@ -102,31 +102,20 @@ class TestProductAndSr:
         code, _, err = run(capsys, "sr-enum", "h9", "--budget", "5")
         assert code == 2
 
-    def test_census_cap_flag_exit_code(self, capsys):
-        code, _, err = run(capsys, "beta", "h9", "--census-cap", "3")
-        assert code == 2
-
     @pytest.mark.parametrize(
         "argv",
         [
-            ("beta", "h9", "--census-cap", "0"),
-            ("--census-cap", "-3", "beta", "h9"),
             ("sr-enum", "h9", "--budget", "0"),
             ("sr-enum", "h9", "--budget", "many"),
             ("gamma", "h9", "--oracle", "--nmax", "0"),
+            ("freeprod", "--factors", "h9,v4", "conjectures", "--subs", "e,a;e,a", "--max-len", "-1"),
+            ("freeprod", "--factors", "h9,v4", "conjectures", "--subs", "e,a;e,a", "--max-len", "0"),
         ],
     )
     def test_non_positive_values_are_usage_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert "expected a positive integer" in err
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_census_cap_env_is_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("HYPERKERNEL_CENSUS_CAP", value)
-        code, out, err = run(capsys, "beta", "h9")
-        assert code == 1 and not out
-        assert "HYPERKERNEL_CENSUS_CAP" in err and "Traceback" not in err
 
     def test_sr_enum_needs_hypergroup(self, capsys, tmp_path):
         path = tmp_path / "semi.hyp"
@@ -136,14 +125,6 @@ class TestProductAndSr:
         code, _, err = run(capsys, "sr-enum", str(path))
         assert code == 1
         assert "hypergroup" in err
-
-    def test_census_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HYPERKERNEL_CENSUS_CAP", "3")
-        code, _, err = run(capsys, "beta", "h9")
-        assert code == 2
-        monkeypatch.setenv("HYPERKERNEL_CENSUS_CAP", "100000")
-        code, out, _ = run(capsys, "beta", "h9")
-        assert code == 0
 
 
 class TestFreeprod:
@@ -159,6 +140,14 @@ class TestFreeprod:
             capsys, "--json", "freeprod", "--factors", "h9,v4", "eval", "a@0 * a@0"
         )
         assert json.loads(out)["words"] == ["1"]
+
+    @pytest.mark.parametrize(
+        "action,expr", [("eval", "x@0 *"), ("eval", "* x@0"), ("eval", "x@0 *  * x@0"), ("psi", " ")]
+    )
+    def test_empty_word_part_is_parse_error(self, capsys, action, expr):
+        code, out, err = run(capsys, "freeprod", "--factors", "h9,v4", action, expr)
+        assert code == 1 and not out
+        assert "empty word" in err
 
     def test_psi(self, capsys):
         _, out, _ = run(

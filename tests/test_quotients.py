@@ -1,8 +1,13 @@
+from itertools import combinations_with_replacement
+
 import pytest
+from oracles import find_isomorphism
 
 from hyperkernel import corpus, errors
-from hyperkernel.core import ElementSet, total_hypergroup
+from hyperkernel.core import ElementSet, direct_product, hyperproduct, total_hypergroup
+from hyperkernel.groups import direct_product_group
 from hyperkernel.quotients import (
+    _coset_quotient,
     check_abelian_quotient,
     check_group_quotient,
     correspondence_check,
@@ -15,7 +20,10 @@ from hyperkernel.quotients import (
     quotient_hypergroup,
     subhypergroups,
 )
-from hyperkernel.relations import beta, gamma, kernel_S
+from hyperkernel.relations import beta, gamma, kernel_S, quotient_by
+
+# Largest group order the backtracking oracle is asked about.
+ORACLE_MAX = 16
 
 
 class TestCompleteParts:
@@ -226,6 +234,62 @@ class TestProductIdentities:
     def test_budget(self, h9):
         with pytest.raises(errors.BudgetExceeded):
             product_identities_check(h9, h9, budget=16)
+
+
+class TestCanonicalMapAgainstSearch:
+    """The identity flags check one canonical map; wherever the search
+    reaches, that map is an isomorphism exactly when some isomorphism is."""
+
+    @staticmethod
+    def _agrees(flag, G1, G2) -> bool | None:
+        if G1 is None or G2 is None:
+            return not flag
+        if G1.n > ORACLE_MAX:
+            return None
+        return flag == (find_isomorphism(G1, G2) is not None)
+
+    def test_correspondence_quotients(self, full_corpus):
+        tables = dict(full_corpus)
+        tables["h9xz2"] = direct_product(full_corpus["h9"], full_corpus["z2"])
+        checked = 0
+        for name, H in tables.items():
+            for entry in subhypergroups(H).all:
+                if not entry.normal:
+                    continue
+                K = entry.members
+                Q = quotient_hypergroup(H, K)
+                outcomes = correspondence_probe(H, K).outcomes
+                for rel, outcome in zip((beta, gamma), outcomes):
+                    left = quotient_by(Q, rel(Q)).group
+                    q = _coset_quotient(H, hyperproduct(H, kernel_S(H, rel(H)), K))
+                    right = q.group if q is not None else None
+                    agrees = self._agrees(outcome.quotient_iso, left, right)
+                    assert agrees is not False, (name, K.labels(H.names), outcome)
+                    checked += agrees is True
+        assert checked >= 200
+
+    def test_product_quotients(self, full_corpus):
+        pairs = [
+            (a, b)
+            for a, b in combinations_with_replacement(full_corpus, 2)
+            if full_corpus[a].n * full_corpus[b].n <= 18
+        ]
+        pairs.append(("h9", "h9-quotient"))  # gamma quotient of order 16
+        checked = 0
+        for a, b in pairs:
+            H1, H2 = full_corpus[a], full_corpus[b]
+            rep = product_identities_check(H1, H2)
+            P = direct_product(H1, H2)
+            agrees = self._agrees(
+                rep.gamma_quotient_iso,
+                quotient_by(P, gamma(P)).group,
+                direct_product_group(
+                    quotient_by(H1, gamma(H1)).group, quotient_by(H2, gamma(H2)).group
+                ),
+            )
+            assert agrees is not False, (a, b)
+            checked += agrees is True
+        assert checked >= 130
 
 
 class TestKernelClassification:

@@ -143,9 +143,9 @@ class TestQuotientBy:
     def test_h9_beta_quotient_is_v4(self, h9):
         q = quotient_by(h9, beta(h9))
         assert q.is_group
-        from hyperkernel.groups import isomorphic
+        from oracles import find_isomorphism
 
-        assert isomorphic(q.group, corpus.v4_group_table())[0]
+        assert find_isomorphism(q.group, corpus.v4_group_table()) is not None
 
     def test_single_class_quotient_trivial(self, h9):
         q = quotient_by(h9, Partition.single_class(h9.n))
