@@ -6,7 +6,7 @@ name wins over a file of the same name; write ./h9 for such a file.
 Output is a human-readable text report by default and canonical JSON
 with --json; identical inputs and flags produce byte-identical output.
 
-Exit codes: 0 success, 1 any error, 2 cap or budget exhaustion.
+Exit codes: 0 success, 1 any error, 2 budget exhaustion.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def _load(arg: str) -> HyperTable:
 
 
 def _positive_int(text: str) -> int:
-    """A whole number of at least 1, for the caps, budgets and bounds."""
+    """A whole number of at least 1, for the budgets and bounds."""
     try:
         value = int(text)
     except ValueError:
@@ -335,12 +335,6 @@ def _add_globals(parser: argparse.ArgumentParser, suppress: bool) -> None:
         action="store_true",
         default=argparse.SUPPRESS if suppress else False,
         help="emit canonical JSON",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=argparse.SUPPRESS if suppress else 0,
-        help="sampling seed",
     )
 
 

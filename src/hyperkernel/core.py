@@ -552,15 +552,11 @@ def closed_sets(
     return out
 
 
-def product_closure(
-    H: HyperTable, joins: Sequence[int] | None = None
-) -> Callable[[int, int], int | None]:
+def product_closure(H: HyperTable) -> Callable[[int, int], int | None]:
     """Closure operator of the product-closed subsets K*K <= K, for closed_sets.
 
     Semi-naive: each round multiplies only the elements added by the
-    previous one.  With joins, an element x entering K also brings
-    joins[x] along, and the closure is the least product-closed set
-    that also satisfies that rule.
+    previous one.
     """
     rows = H.rows
 
@@ -577,8 +573,6 @@ def product_closure(
                 x = low.bit_length() - 1
                 m ^= low
                 row = rows[x]
-                if joins is not None:
-                    grow |= joins[x]
                 k = closed
                 while k:
                     lb = k & -k

@@ -1,7 +1,8 @@
 """Exception hierarchy for the whole package.
 
-ResourceExhausted covers every cap/budget refusal; the CLI maps it to
-exit code 2, every other HyperError to exit code 1.
+ResourceExhausted covers every budget refusal; the CLI maps it to exit
+code 2, every other HyperError to exit code 1.  Every class here is
+raised by name somewhere in the package, or is the base of one that is.
 """
 
 
@@ -81,20 +82,8 @@ class FactorsNotPolygroups(HyperError, ValueError):
     pass
 
 
-class InconsistentHeart(HyperError, RuntimeError):
-    """The two heart computations disagreed; signals a bug, not math."""
-
-
-class InconsistentDerived(HyperError, RuntimeError):
-    """The two derived-subhypergroup computations disagreed."""
-
-
 class ResourceExhausted(HyperError, RuntimeError):
-    """A configured cap or budget would be exceeded."""
-
-
-class CapExceeded(ResourceExhausted):
-    pass
+    """A configured budget would be exceeded."""
 
 
 class BudgetExceeded(ResourceExhausted):

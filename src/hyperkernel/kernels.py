@@ -59,12 +59,57 @@ def assoc_witness(rows, n):
     return -1
 
 
+def congruence_closure(rows, n):
+    """Union-find roots of the smallest strongly regular relation.
+
+    Congruence closure (Downey, Sethi and Tarjan, 1980): first the
+    members of every cell are merged; then, for each new parent link
+    (a, b), the least elements of a*z and b*z, and of z*a and z*b, are
+    merged for every z.  Each cell lies inside one class, so merging its
+    least element merges all of it.  At most n - 1 links form, so this
+    is O(n^2) union steps.  The root of each element is the least member
+    of its class.
+    """
+    uf = UnionFind(n)
+    parent = uf.parent
+    find = uf.find
+    links = []
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            links.append((ra, rb))
+
+    for row in rows:
+        for cell in row:
+            anchor = (cell & -cell).bit_length() - 1
+            cell &= cell - 1
+            while cell:
+                low = cell & -cell
+                union(anchor, low.bit_length() - 1)
+                cell ^= low
+    least = [[(cell & -cell).bit_length() - 1 for cell in row] for row in rows]
+    while links:
+        a, b = links.pop()
+        la, lb = least[a], least[b]
+        for z in range(n):
+            union(la[z], lb[z])
+            lz = least[z]
+            union(lz[a], lz[b])
+    return uf.roots()
+
+
 def census(rows, n, cap):
     """All product sets of length >= 2 as masks, in first-discovery order.
 
     Breadth-first closure of the singletons under right multiplication by
     each generator, generators taken in index order.  Returns None when
-    more than `cap` distinct sets appear.
+    more than `cap` distinct sets appear.  The library no longer calls
+    it: tests/oracles.py keeps it as the reference route for beta and
+    for complete parts.
     """
     out = []
     products = set()

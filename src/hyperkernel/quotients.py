@@ -1,9 +1,9 @@
 """Subhypergroup classification, hearts, derived subhypergroups, quotients.
 
-The heart and the derived subhypergroup are both computed twice, by
-structurally different routes (complete-part intersections vs identity
-classes of the fundamental relations); a disagreement raises, because it
-can only mean an implementation bug.
+Complete parts are the unions of beta classes (Corsini 1993).  The heart
+and the derived subhypergroup are the identity classes of the
+fundamental relations beta and gamma; tests/oracles.py keeps their
+definitions as intersections of complete-part subhypergroups.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from hyperkernel.core import (
     ElementSet,
     HyperTable,
     Partition,
-    bits,
     closed_sets,
     direct_product,
     hyperproduct,
@@ -25,10 +24,8 @@ from hyperkernel.core import (
     is_conjugable,
     is_normal,
     is_subhypergroup,
-    left_division,
     per_table,
     product_closure,
-    right_division,
     scalar_identity,
 )
 from hyperkernel.groups import GroupTable, cosets, direct_product_group, isomorphic
@@ -40,18 +37,19 @@ from hyperkernel.relations import (
     is_regular,
     join,
     kernel_S,
-    product_census,
     pullback,
     quotient_by,
 )
 
+
 def is_complete_part(H: HyperTable, C: ElementSet) -> bool:
-    """C swallows every product set it meets."""
+    """Whether C swallows every product set it meets.
+
+    On a semihypergroup these are exactly the unions of beta classes
+    (Corsini 1993), which is what is tested.
+    """
     cm = C.mask
-    for p in product_census(H).masks:
-        if p & cm and p | cm != cm:
-            return False
-    return True
+    return all(k.mask & cm in (0, k.mask) for k in beta(H).classes)
 
 
 @dataclass(frozen=True)
@@ -101,75 +99,20 @@ def subhypergroups(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> Su
     return SubLattice(tuple(entries))
 
 
-def _complete_part_subhypergroups(H: HyperTable, budget: int) -> list[int]:
-    """Masks of the subhypergroups that are complete parts, ascending.
+def heart(H: HyperTable) -> ElementSet:
+    """The beta class that is the identity of the fundamental group.
 
-    Complete parts are closed under intersection too, so the closure
-    adds, with every element x, each census set containing x.
+    On a hypergroup this is the intersection of all complete-part
+    subhypergroups (Corsini 1993).  On a bare semihypergroup the two can
+    differ, and this returns the beta class.
     """
-    joins = [0] * H.n
-    for p in product_census(H).masks:
-        for x in bits(p):
-            joins[x] |= p
-    closure = product_closure(H, joins)
-    return [
-        mask
-        for mask in closed_sets(H.n, closure, budget, "complete-part lattice")
-        if is_subhypergroup(H, ElementSet(H.n, mask))
-    ]
+    return kernel_S(H, beta(H))
 
 
-def heart(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> ElementSet:
-    """Intersection of all complete-part subhypergroups.
-
-    Cross-checked against the identity class of the fundamental group;
-    any disagreement is an internal error, never a mathematical outcome.
-    """
-    acc = H.full_mask
-    for mask in _complete_part_subhypergroups(H, budget):
-        acc &= mask
-    via_kernel = kernel_S(H, beta(H))
-    if acc != via_kernel.mask:
-        raise errors.InconsistentHeart(
-            f"complete-part intersection {acc:#x} != beta kernel {via_kernel.mask:#x}"
-        )
-    return ElementSet(H.n, acc)
-
-
-def _division_set(H: HyperTable) -> int:
-    """Mask of D, which derived() closes to a complete-part subhypergroup.
-
-    D gathers, over all pairs (x, y), the right divisions z/w and left
-    divisions z\\w taken elementwise across the two product sets x*y and
-    y*x.  Each distinct (z, w) is divided once.
-    """
-    pairs = set()
-    for x in range(H.n):
-        for y in range(H.n):
-            yx = tuple(bits(H.rows[y][x]))
-            pairs.update((z, w) for z in bits(H.rows[x][y]) for w in yx)
-    d = 0
-    for z, w in pairs:
-        d |= right_division(H, z, w).mask | left_division(H, w, z).mask
-    return d
-
-
-def derived(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> ElementSet:
-    """Smallest complete-part subhypergroup containing all division sets.
-
-    Cross-checked against the identity class of gamma.
-    """
-    d = _division_set(H)
-    acc = H.full_mask
-    for mask in _complete_part_subhypergroups(H, budget):
-        if mask | d == mask:
-            acc &= mask
-    via_kernel = kernel_S(H, gamma(H))
-    if acc != via_kernel.mask:
-        raise errors.InconsistentDerived(
-            f"division construction {acc:#x} != gamma kernel {via_kernel.mask:#x}"
-        )
-    return ElementSet(H.n, acc)
+def derived(H: HyperTable) -> ElementSet:
+    """The gamma class that is the identity of the commutative quotient:
+    the smallest complete-part subhypergroup containing all division sets."""
+    return kernel_S(H, gamma(H))
 
 
 def _coset_names(H: HyperTable, K: ElementSet, part: Partition) -> list[str]:
@@ -338,18 +281,12 @@ class ProductIdentitiesReport:
         return self.kernel_match and self.gamma_quotient_iso
 
 
-def product_identities_check(
-    H1: HyperTable, H2: HyperTable, budget: int = 64
-) -> ProductIdentitiesReport:
+def product_identities_check(H1: HyperTable, H2: HyperTable) -> ProductIdentitiesReport:
     """Kernel and commutative-quotient identities of a direct product.
 
     The quotient identity checks the canonical map sending the gamma
     class of a pair to the pair of gamma classes of its coordinates.
     """
-    if H1.n * H2.n > budget:
-        raise errors.BudgetExceeded(
-            f"product carrier {H1.n * H2.n} exceeds budget {budget}"
-        )
     P = direct_product(H1, H2)
     sp = kernel_S(P, beta(P))
     s1 = kernel_S(H1, beta(H1))

@@ -1,12 +1,13 @@
 """Fundamental relations and equivalence-relation machinery.
 
-beta relates elements lying in a common product of elements; its
-transitive closure is the smallest strongly regular relation and its
-quotient is the fundamental group.  gamma additionally relates products
-taken in a permuted order; it factors through beta as the pullback of
-the mod-commutator congruence of the fundamental group, which is how
-gamma() computes it.  gamma_oracle() is the independent brute-force
-route over permuted tuples, kept for cross-checking.
+beta is the smallest strongly regular relation, computed as a congruence
+closure of the table; on a semihypergroup it is the transitive closure
+of "lie in a common product", and its quotient is the fundamental group.
+gamma additionally relates products taken in a permuted order; it
+factors through beta as the pullback of the mod-commutator congruence of
+the fundamental group, which is how gamma() computes it.  gamma_oracle()
+is the independent brute-force route over permuted tuples, kept for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from hyperkernel.core import (
     ElementSet,
     HyperTable,
     Partition,
-    bits,
     closed_sets,
     is_hypergroup,
     is_normal,
@@ -29,59 +29,23 @@ from hyperkernel.core import (
 )
 from hyperkernel.groups import GroupTable, commutator_subgroup, cosets, validate_group
 
-DEFAULT_CENSUS_CAP = 100_000
 DEFAULT_ORACLE_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class ProductCensus:
-    """All product sets of two or more elements, as masks over the carrier.
+@per_table
+def beta(H: HyperTable) -> Partition:
+    """Smallest strongly regular relation, by congruence closure.
 
-    Closed under right multiplication by every generator; first-discovery
-    order with generators taken in index order.  product_census raises
-    rather than return a truncated census.
+    On a semihypergroup this is beta*, the transitive closure of the
+    common-product relation (Koskas 1970; Freni 1991 showed beta = beta*
+    in hypergroups).  On any table it is the least equivalence that puts
+    every cell inside one class and that products respect.
     """
-
-    n: int
-    masks: tuple[int, ...]
-
-    def sets(self) -> tuple[ElementSet, ...]:
-        return tuple(ElementSet(self.n, m) for m in self.masks)
+    return Partition(H.n, kernels.congruence_closure(H.rows, H.n))
 
 
 @per_table
-def product_census(H: HyperTable, cap: int = DEFAULT_CENSUS_CAP) -> ProductCensus:
-    """Breadth-first closure of singletons under right multiplication.
-
-    Associativity makes every product of length >= 2 a left-nested one,
-    so the closure reaches exactly the product sets.
-    """
-    masks = kernels.census(H.rows, H.n, cap)
-    if masks is None:
-        raise errors.CapExceeded(f"product census exceeds {cap} sets")
-    return ProductCensus(H.n, tuple(masks))
-
-
-@per_table
-def beta(H: HyperTable, cap: int = DEFAULT_CENSUS_CAP) -> Partition:
-    """Smallest strongly regular relation: common-product pairs, closed.
-
-    Elements sharing a product set are merged; union-find supplies the
-    transitive closure needed on bare semihypergroups.
-    """
-    uf = kernels.UnionFind(H.n)
-    for mask in product_census(H, cap).masks:
-        first = -1
-        for e in bits(mask):
-            if first < 0:
-                first = e
-            else:
-                uf.union(first, e)
-    return Partition(H.n, uf.roots())
-
-
-@per_table
-def gamma(H: HyperTable, cap: int = DEFAULT_CENSUS_CAP) -> Partition:
+def gamma(H: HyperTable) -> Partition:
     """Smallest strongly regular relation with a commutative quotient.
 
     Computed through the fundamental group: the class of x is the union
@@ -90,7 +54,7 @@ def gamma(H: HyperTable, cap: int = DEFAULT_CENSUS_CAP) -> Partition:
     """
     if not is_hypergroup(H):
         raise errors.NotAHypergroup("gamma requires a hypergroup")
-    b = beta(H, cap)
+    b = beta(H)
     q = quotient_by(H, b)
     if not q.is_group:
         raise errors.NotStronglyRegular("beta quotient failed to be a group")
@@ -107,7 +71,7 @@ def gamma_oracle(
 
     Every element of a product of (x1..xk) is related to every element
     of the product of any reordering; the result is transitively closed.
-    Independent of gamma()'s census/quotient route by construction.
+    Independent of gamma()'s closure/quotient route by construction.
     """
     if nmax < 1:
         raise errors.HyperError(f"nmax must be at least 1, got {nmax}")

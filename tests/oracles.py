@@ -1,30 +1,45 @@
-"""Brute-force oracles for the closure-system routes.
+"""Brute-force oracles for the library's fast routes.
 
-The library enumerates subhypergroups, complete-part subhypergroups and
-strongly regular relations through closure systems.  These are the
-independent exhaustive routes they are checked against: a scan over all
-2^n subsets and a scan over all Bell(n) partitions, which tests each
-partition against the definitions of regular and strongly regular
-relations, not through hyperkernel.kernels.  The library checks the
-quotient identities through the canonical map each one names; the
-backtracking isomorphism search here is the independent route that asks
-only whether some isomorphism exists.  Test use only.
+The library enumerates subhypergroups and strongly regular relations
+through closure systems.  These are the independent exhaustive routes
+they are checked against: a scan over all 2^n subsets and a scan over
+all Bell(n) partitions, which tests each partition against the
+definitions of regular and strongly regular relations, not through
+hyperkernel.kernels.
+
+The library computes beta by congruence closure, complete parts as
+unions of beta classes, and the heart and the derived subhypergroup as
+the identity classes of beta and gamma.  Here beta, complete parts, the
+heart and the derived subhypergroup come from their definitions instead:
+the census of all product sets (kernels.census), and intersections of
+complete-part subhypergroups over the powerset scan.
+
+The library checks the quotient identities through the canonical map
+each one names; the backtracking isomorphism search here is the
+independent route that asks only whether some isomorphism exists.  Test
+use only.
 """
 
 from functools import lru_cache
 
+from hyperkernel import kernels, relations
 from hyperkernel.core import (
     ElementSet,
     HyperTable,
     Partition,
+    bits,
     is_closed,
     is_conjugable,
     is_normal,
     is_subhypergroup,
+    left_division,
+    right_division,
 )
 from hyperkernel.groups import GroupTable, subgroup_generated
-from hyperkernel.quotients import SubEntry, _division_set, is_complete_part
-from hyperkernel.relations import beta, gamma, kernel_S
+from hyperkernel.quotients import SubEntry
+
+# Most product sets the census may find; far above any table tested.
+CENSUS_CAP = 100_000
 
 
 def all_class_assignments(n: int):
@@ -50,10 +65,38 @@ def powerset_subhypergroups(H: HyperTable) -> tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def product_sets(H: HyperTable) -> tuple[int, ...]:
+    """Every product set of two or more elements, as masks.
+
+    kernels.census reaches the left-nested products, which on an
+    associative table are all of them.
+    """
+    masks = kernels.census(H.rows, H.n, CENSUS_CAP)
+    assert masks is not None, f"{H} has more than {CENSUS_CAP} product sets"
+    return tuple(masks)
+
+
+def beta(H: HyperTable) -> Partition:
+    """Elements sharing a product set, transitively closed: beta*."""
+    uf = kernels.UnionFind(H.n)
+    for mask in product_sets(H):
+        first, *rest = bits(mask)
+        for e in rest:
+            uf.union(first, e)
+    return Partition(H.n, uf.roots())
+
+
+def is_complete_part(H: HyperTable, C: ElementSet) -> bool:
+    """C swallows every product set it meets."""
+    cm = C.mask
+    return all(not p & cm or p | cm == cm for p in product_sets(H))
+
+
 def subhypergroup_entries(H: HyperTable) -> tuple[SubEntry, ...]:
     """The lattice entries with flags, straight from the predicates."""
-    s_beta = kernel_S(H, beta(H)).mask
-    s_gamma = kernel_S(H, gamma(H)).mask
+    s_beta = relations.kernel_S(H, relations.beta(H)).mask
+    s_gamma = relations.kernel_S(H, relations.gamma(H)).mask
     out = []
     for mask in powerset_subhypergroups(H):
         K = ElementSet(H.n, mask)
@@ -87,9 +130,27 @@ def heart(H: HyperTable) -> ElementSet:
     return ElementSet(H.n, acc)
 
 
+def division_set(H: HyperTable) -> int:
+    """Mask of D, which the derived subhypergroup contains.
+
+    D gathers, over all pairs (x, y), the right divisions z/w and left
+    divisions z\\w taken elementwise across the two product sets x*y and
+    y*x.  Each distinct (z, w) is divided once.
+    """
+    pairs = set()
+    for x in range(H.n):
+        for y in range(H.n):
+            yx = tuple(bits(H.rows[y][x]))
+            pairs.update((z, w) for z in bits(H.rows[x][y]) for w in yx)
+    d = 0
+    for z, w in pairs:
+        d |= right_division(H, z, w).mask | left_division(H, w, z).mask
+    return d
+
+
 def derived(H: HyperTable) -> ElementSet:
     """Intersection of the complete-part subhypergroups containing D."""
-    d = _division_set(H)
+    d = division_set(H)
     acc = H.full_mask
     for mask in _complete_part_masks(H):
         if mask | d == mask:

@@ -45,6 +45,19 @@ class TestBetaGamma:
         assert doc1["route"] == "commutator"
         assert doc2["route"] == "oracle"
 
+    def test_beta_on_a_non_associative_table(self, capsys, tmp_path):
+        # the smallest strongly regular relation is the single class here;
+        # the common-product relation {a,b}|{c} is not strongly regular
+        path = tmp_path / "nonassoc.json"
+        path.write_text(
+            '{"elements":["a","b","c"],'
+            '"table":[[["c"],["a"],["c"]],[["c"],["a","b"],["c"]],[["b"],["a"],["b"]]]}',
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "--json", "beta", str(path))
+        assert code == 0, err
+        assert json.loads(out)["classes"] == [["a", "b", "c"]]
+
 
 class TestQuotient:
     def test_h9_mod_ea(self, capsys):
@@ -91,6 +104,13 @@ class TestProductAndSr:
         code, out, _ = run(capsys, "--json", "product", "h9", "z2")
         doc = json.loads(out)
         assert doc["holds"] and doc["kernel_match"] and doc["gamma_quotient_iso"]
+
+    def test_product_above_64_elements(self, capsys):
+        code, out, err = run(capsys, "--json", "product", "h9", "h9")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["carrier_size"] == 81
+        assert doc["holds"] is True
 
     def test_sr_enum_counts(self, capsys):
         _, out, _ = run(capsys, "--json", "sr-enum", "v4")
@@ -203,6 +223,10 @@ class TestFilesAndDeterminism:
         code, _, err = run(capsys, "beta", "definitely-missing")
         assert code == 1
 
+    def test_seed_is_not_an_option(self, capsys):
+        assert main(["--seed", "7", "check", "h9"]) == 1
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -220,6 +244,6 @@ class TestFilesAndDeterminism:
     )
     def test_byte_identical_reruns(self, capsys, argv):
         for flags in ((), ("--json",)):
-            _, out1, _ = run(capsys, *flags, *argv, "--seed", "7")
-            _, out2, _ = run(capsys, *flags, *argv, "--seed", "7")
+            _, out1, _ = run(capsys, *flags, *argv)
+            _, out2, _ = run(capsys, *flags, *argv)
             assert out1 == out2 and out1

@@ -24,6 +24,7 @@ from hyperkernel.freeprod import (
     word_inverse_unique,
     word_product,
 )
+from hyperkernel.core import HyperTable
 from hyperkernel.groups import DirectSumFamily, validate_group
 
 
@@ -55,6 +56,14 @@ class TestRegistry:
 
         with pytest.raises(errors.NotStronglyRegular):
             FactorRegistry([total_hypergroup(2)])
+
+    def test_closure_check_rejects_non_polygroup_factor(self):
+        # strongly regular, so the registry accepts it, but its identity e
+        # is not scalar: a*e = {e, a}
+        H = HyperTable.from_sets(["e", "a"], [[[0], [1]], [[0, 1], [0, 1]]])
+        reg = FactorRegistry([corpus.klein_four(), H])
+        with pytest.raises(errors.FactorsNotPolygroups, match="factor 1 is not a polygroup"):
+            polygroup_closure_check(reg, max_len=2, samples=10)
 
     def test_factor_structure(self, reg):
         H9 = reg.factors[0]
@@ -358,6 +367,14 @@ class TestClosure:
 
         with pytest.raises(errors.NotStronglyRegular):
             FactorRegistry([total_hypergroup(2)])
+
+    def test_closure_check_rejects_non_polygroup_factor(self):
+        # strongly regular, so the registry accepts it, but its identity e
+        # is not scalar: a*e = {e, a}
+        H = HyperTable.from_sets(["e", "a"], [[[0], [1]], [[0, 1], [0, 1]]])
+        reg = FactorRegistry([corpus.klein_four(), H])
+        with pytest.raises(errors.FactorsNotPolygroups, match="factor 1 is not a polygroup"):
+            polygroup_closure_check(reg, max_len=2, samples=10)
 
 
 class TestConjectures:

@@ -43,6 +43,17 @@ class TestValidation:
         with pytest.raises(errors.NoIdentity):
             validate_group([[1, 0], [0, 1]][::-1] and [[1, 1], [1, 1]])
 
+    def test_subtraction_not_associative(self):
+        # a*b = a - b mod 3: (0-1)-1 = 1 but 0-(1-1) = 0
+        rows = [[(a - b) % 3 for b in range(3)] for a in range(3)]
+        with pytest.raises(errors.NotAssociative, match=r"witness \(0, 0, 1\)"):
+            validate_group(rows)
+
+    def test_monoid_without_inverse(self):
+        # {0, 1} under max: associative, identity 0, and 1 has no inverse
+        with pytest.raises(errors.NoInverse, match="witness 1"):
+            validate_group([[0, 1], [1, 1]])
+
 
 class TestSubgroups:
     def test_identity_alone(self):

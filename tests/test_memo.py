@@ -10,7 +10,7 @@ from hyperkernel import corpus, errors, kernels
 from hyperkernel.cli import main
 from hyperkernel.core import HyperTable, is_semihypergroup, per_table
 from hyperkernel.hypio import format_hyp
-from hyperkernel.relations import DEFAULT_CENSUS_CAP, beta, product_census, quotient_by
+from hyperkernel.relations import beta, quotient_by
 
 
 def fresh(H: HyperTable) -> HyperTable:
@@ -41,29 +41,41 @@ class Spy:
         return {key: k for key, k in self.calls.items() if k > 1}
 
 
+DEFAULT_LIMIT = 100
+RUNS = []
+
+
+@per_table
+def cells(H: HyperTable, limit: int = DEFAULT_LIMIT) -> tuple[int, ...]:
+    """The distinct cells of H; raises when limit is below its size."""
+    RUNS.append(limit)
+    if limit < H.n:
+        raise errors.BudgetExceeded(f"{H.n} elements exceed limit {limit}")
+    return tuple(sorted({cell for row in H.rows for cell in row}))
+
+
 class TestPerTable:
-    def test_defaults_share_an_entry(self, monkeypatch):
+    def test_defaults_share_an_entry(self):
         H = fresh(corpus.h9())
-        spy = Spy(monkeypatch, "census")
-        b = beta(H)
-        assert beta(H, DEFAULT_CENSUS_CAP) is b
-        assert beta(H, cap=DEFAULT_CENSUS_CAP) is b
-        assert product_census(H, cap=DEFAULT_CENSUS_CAP) is product_census(H)
-        assert sum(spy.calls.values()) == 1
+        RUNS.clear()
+        c = cells(H)
+        assert cells(H, DEFAULT_LIMIT) is c
+        assert cells(H, limit=DEFAULT_LIMIT) is c
+        assert len(RUNS) == 1
 
     def test_other_arguments_get_their_own_entry(self):
         H = fresh(corpus.h9())
-        assert product_census(H, 10_000) is not product_census(H)
-        assert product_census(H, 10_000).masks == product_census(H).masks
+        assert cells(H, 10_000) is not cells(H)
+        assert cells(H, 10_000) == cells(H)
 
-    def test_exceptions_are_not_cached(self, monkeypatch):
+    def test_exceptions_are_not_cached(self):
         H = fresh(corpus.h9())
-        spy = Spy(monkeypatch, "census")
+        RUNS.clear()
         for _ in range(2):
-            with pytest.raises(errors.CapExceeded):
-                beta(H, 3)
-        assert sum(spy.calls.values()) == 2
-        assert beta(H, 3 * DEFAULT_CENSUS_CAP) == beta(corpus.h9())
+            with pytest.raises(errors.BudgetExceeded):
+                cells(H, 3)
+        assert len(RUNS) == 2
+        assert cells(H, 3 * DEFAULT_LIMIT) == cells(fresh(corpus.h9()))
 
     def test_equality_and_hash_ignore_the_memo(self):
         H = fresh(corpus.h9())
@@ -131,7 +143,7 @@ def table_files(tmp_path):
     ],
 )
 def test_each_table_runs_each_kernel_once(capsys, monkeypatch, table_files, argv):
-    spy = Spy(monkeypatch, "assoc_witness", "census")
+    spy = Spy(monkeypatch, "assoc_witness", "congruence_closure")
     argv = [table_files.get(arg, arg) for arg in argv]
     assert main(["--json", *argv]) == 0
     capsys.readouterr()
