@@ -298,6 +298,7 @@ def _cmd_freeprod(args) -> dict:
         parts = [p.strip() for p in args.expr.split("*")]
         words = [_parse_word(reg, p) for p in parts]
         out = freeprod.word_product(reg, words)
+        out = sorted(out, key=freeprod.ReducedWord.sort_key)
         return {"words": [_format_word(reg, w) for w in out]}
     if args.action == "psi":
         w = _parse_word(reg, args.expr)
@@ -369,7 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gamma)
 
     p = sub.add_parser(
-        "heart", parents=[shared], help="intersection of complete-part subhypergroups"
+        "heart",
+        parents=[shared],
+        help="identity class of beta (on a hypergroup, the intersection of "
+        "complete-part subhypergroups)",
     )
     p.add_argument("table")
     p.set_defaults(func=_cmd_heart)

@@ -90,8 +90,8 @@ class BudgetExceeded(ResourceExhausted):
     pass
 
 
-class HypFormatError(HyperError, ValueError):
-    """Problem in a .hyp or .json table document."""
+class ParseError(HyperError, ValueError):
+    """Problem in a table document, a word or another user input."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
@@ -100,17 +100,13 @@ class HypFormatError(HyperError, ValueError):
         self.line = line
 
 
-class ParseError(HypFormatError):
+class DuplicateLabel(ParseError):
     pass
 
 
-class DuplicateLabel(HypFormatError):
+class EmptyCell(ParseError):
     pass
 
 
-class EmptyCell(HypFormatError):
-    pass
-
-
-class UnknownLabel(HypFormatError):
+class UnknownLabel(ParseError):
     pass

@@ -10,13 +10,17 @@ No word ever carries an identity letter: identities can only appear in
 a boundary product a*b when b is the unique inverse of a, and there
 they are exactly the cancelled continuation.  That uniqueness is
 asserted on every multiplication rather than assumed.
+
+A set of words is a plain frozenset.  The canonical order of words
+(`ReducedWord.sort_key`: length, then factors, then elements) is applied
+only where order shows: printed word lists and seeded picks.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Sized
 
 from hyperkernel import errors
 from hyperkernel.core import (
@@ -25,9 +29,9 @@ from hyperkernel.core import (
     from_group,
     hyperproduct,
     identities,
-    inverse_candidates,
     is_polygroup,
     is_strongly_regular_hg,
+    unique_inverses,
 )
 from hyperkernel.groups import (
     DirectSumElement,
@@ -82,35 +86,6 @@ class ReducedWord:
 EMPTY_WORD = ReducedWord()
 
 
-class WordSet:
-    """Canonical finite set of reduced words (ordered by length, letters)."""
-
-    __slots__ = ("words", "_set")
-
-    def __init__(self, words: Iterable[ReducedWord]):
-        uniq = set(words)
-        self.words = tuple(sorted(uniq, key=ReducedWord.sort_key))
-        self._set = uniq
-
-    def __contains__(self, w: ReducedWord) -> bool:
-        return w in self._set
-
-    def __iter__(self):
-        return iter(self.words)
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WordSet) and self.words == other.words
-
-    def __hash__(self) -> int:
-        return hash(self.words)
-
-    def __repr__(self) -> str:
-        return f"WordSet({list(self.words)!r})"
-
-
 class FactorRegistry:
     """Validated family of strongly regular factors with cached structure.
 
@@ -124,8 +99,6 @@ class FactorRegistry:
         self.factors = tuple(factors)
         if not self.factors:
             raise errors.ShapeMismatch("registry needs at least one factor")
-        idents = []
-        inverses = []
         betas: list[Partition] = []
         fundamental: list[GroupTable] = []
         for i, H in enumerate(self.factors):
@@ -133,27 +106,16 @@ class FactorRegistry:
                 raise errors.NotStronglyRegular(
                     f"factor {i} is not a strongly regular hypergroup"
                 )
-            e = identities(H).indices()
-            if len(e) != 1:
-                raise errors.NotStronglyRegular(f"factor {i} identity is not unique")
-            idents.append(e[0])
-            inv = []
-            for x in range(H.n):
-                c = inverse_candidates(H, x)[2].indices()
-                if len(c) != 1:
-                    raise errors.NotStronglyRegular(
-                        f"factor {i} element {x} lacks a unique inverse"
-                    )
-                inv.append(c[0])
-            inverses.append(tuple(inv))
             b = beta(H)
             betas.append(b)
             q = quotient_by(H, b)
             if not q.is_group:
                 raise errors.NotStronglyRegular(f"factor {i} has no fundamental group")
             fundamental.append(q.group)
-        self.identities = tuple(idents)
-        self.inverses = tuple(inverses)
+        # Strong regularity makes both unique: two identities would each
+        # lie in the other's inverse set C(x).
+        self.identities = tuple(identities(H).indices()[0] for H in self.factors)
+        self.inverses = tuple(unique_inverses(H) for H in self.factors)
         self.betas = tuple(betas)
         self.kernels = tuple(
             betas[i].classes[fundamental[i].identity] for i in range(len(self.factors))
@@ -213,7 +175,9 @@ def inverse_word(registry: FactorRegistry, w: ReducedWord) -> ReducedWord:
     )
 
 
-def multiply(registry: FactorRegistry, w1: ReducedWord, w2: ReducedWord) -> WordSet:
+def multiply(
+    registry: FactorRegistry, w1: ReducedWord, w2: ReducedWord
+) -> frozenset[ReducedWord]:
     """Boundary-rule product of two reduced words.
 
     Different boundary factors concatenate.  Equal boundary factors
@@ -253,21 +217,23 @@ def multiply(registry: FactorRegistry, w1: ReducedWord, w2: ReducedWord) -> Word
                     f"identity appeared in a non-cancelling product in factor {a.factor}"
                 )
             results.add(ReducedWord(left[:-1] + (Letter(a.factor, t),) + right[1:]))
-    return WordSet(results)
+    return frozenset(results)
 
 
 def multiply_sets(registry: FactorRegistry, A: Iterable[ReducedWord],
-                  B: Iterable[ReducedWord]) -> WordSet:
+                  B: Iterable[ReducedWord]) -> frozenset[ReducedWord]:
     out: set[ReducedWord] = set()
     bs = list(B)
     for wa in A:
         for wb in bs:
             out.update(multiply(registry, wa, wb))
-    return WordSet(out)
+    return frozenset(out)
 
 
-def word_product(registry: FactorRegistry, words: Sequence[ReducedWord]) -> WordSet:
-    acc = WordSet([EMPTY_WORD])
+def word_product(
+    registry: FactorRegistry, words: Sequence[ReducedWord]
+) -> frozenset[ReducedWord]:
+    acc = frozenset([EMPTY_WORD])
     for w in words:
         acc = multiply_sets(registry, acc, [w])
     return acc
@@ -285,6 +251,22 @@ def embed(registry: FactorRegistry, factor: int, elem: int) -> ReducedWord:
     return ReducedWord((l,))
 
 
+def project(
+    target: FactorRegistry,
+    w: ReducedWord,
+    class_maps: Sequence[Sequence[int]],
+) -> frozenset[ReducedWord]:
+    """Letterwise image of w over target.
+
+    Letter x@i maps to the embedded class class_maps[i][x] of target's
+    factor i, and the images multiply out over target.
+    """
+    return word_product(
+        target,
+        [embed(target, l.factor, class_maps[l.factor][l.elem]) for l in w.letters],
+    )
+
+
 def phi(registry: FactorRegistry, w: ReducedWord) -> ReducedWord:
     """Letterwise projection into the free product of fundamental groups.
 
@@ -292,30 +274,21 @@ def phi(registry: FactorRegistry, w: ReducedWord) -> ReducedWord:
     adjacent same-factor classes multiply out, so the image is a single
     reduced word over the fundamental-group registry.
     """
-    target = registry.fundamental_registry()
-    acc = EMPTY_WORD
-    for l in w.letters:
-        cls = registry.betas[l.factor].class_of[l.elem]
-        piece = embed(target, l.factor, cls)
-        prods = multiply(target, acc, piece)
-        if len(prods) != 1:
-            raise errors.NotStronglyRegular(
-                f"fundamental-group product gave {len(prods)} words, not one"
-            )
-        acc = prods.words[0]
-    return acc
+    image = project(
+        registry.fundamental_registry(), w, [b.class_of for b in registry.betas]
+    )
+    if len(image) != 1:
+        raise errors.NotStronglyRegular(
+            f"fundamental-group product gave {len(image)} words, not one"
+        )
+    (word,) = image
+    return word
 
 
 def psi(family: DirectSumFamily, w: ReducedWord) -> DirectSumElement:
     """Sum of the abelianized letter images, componentwise."""
     acc = family.zero()
     for l in w.letters:
-        if not 0 <= l.factor < len(family.groups):
-            raise errors.FamilyMismatch(f"word letter references factor {l.factor}")
-        if not 0 <= l.elem < family.groups[l.factor].n:
-            raise errors.FamilyMismatch(
-                f"letter {l.elem} outside group factor {l.factor}"
-            )
         acc = direct_sum_add(family, acc, family.inject(l.factor, l.elem))
     return acc
 
@@ -364,45 +337,23 @@ def word_inverse_unique(
 
     A candidate can only multiply to the empty word through the
     cancellation case, so candidates whose first letter is not the
-    inverse of w's last letter are skipped without multiplying.
+    inverse of w's last letter (the expected word's first letter) are
+    skipped without multiplying.
     """
     if pool is None:
         pool = enumerate_words(registry, max_len, budget)
     expected = inverse_word(registry, w)
-    hits = []
-    if w.is_empty():
-        needed = None
-    else:
-        needed = registry.inverse_letter(w.letters[-1])
-    for v in pool:
-        if needed is not None and (v.is_empty() or v.letters[0] != needed):
-            continue
-        if needed is None and not v.is_empty():
-            continue
-        if EMPTY_WORD in multiply(registry, w, v) and EMPTY_WORD in multiply(
-            registry, v, w
-        ):
-            hits.append(v)
+    hits = [
+        v
+        for v in pool
+        if v.letters[:1] == expected.letters[:1]
+        and EMPTY_WORD in multiply(registry, w, v)
+        and EMPTY_WORD in multiply(registry, v, w)
+    ]
     return hits == [expected]
 
 
-def _letterwise_images(
-    words: Iterable[ReducedWord],
-    target: FactorRegistry,
-    class_maps: Sequence[Sequence[int]],
-) -> dict[ReducedWord, WordSet]:
-    """Image word sets under the per-letter class projection."""
-    out = {}
-    for w in words:
-        acc: Iterable[ReducedWord] = [EMPTY_WORD]
-        for l in w.letters:
-            piece = embed(target, l.factor, class_maps[l.factor][l.elem])
-            acc = multiply_sets(target, acc, [piece])
-        out[w] = acc if isinstance(acc, WordSet) else WordSet(acc)
-    return out
-
-
-def _counts_by_length(words: Iterable[ReducedWord], max_len: int) -> list[int]:
+def _counts_by_length(words: Iterable[Sized], max_len: int) -> list[int]:
     counts = [0] * (max_len + 1)
     for w in words:
         if len(w) <= max_len:
@@ -441,27 +392,12 @@ def quotient_conjecture_report(
     ]
 
     # Words over the quotient factors vs coset images of base words.
-    images = _letterwise_images(base_words, qreg, coset_maps)
-    covered: set[ReducedWord] = set()
-    kernel_images = 0
-    for ws in images.values():
-        covered.update(ws)
-        if EMPTY_WORD in ws:
-            kernel_images += 1
-    sub_letter_counts = [
-        sum(1 for x in K if x != base.identities[i]) for i, K in enumerate(subs)
-    ]
-    sub_words = 1
-    layer = {(-1,): 1}
-    for _ in range(max_len):
-        nxt: dict[tuple, int] = {}
-        for (last,), cnt in layer.items():
-            for i, k in enumerate(sub_letter_counts):
-                if i == last or k == 0:
-                    continue
-                nxt[(i,)] = nxt.get((i,), 0) + cnt * k
-        sub_words += sum(nxt.values())
-        layer = nxt
+    images = [project(qreg, w, coset_maps) for w in base_words]
+    covered = set().union(*images)
+    kernel_images = sum(EMPTY_WORD in ws for ws in images)
+    sub_words = sum(
+        all(l.elem in subs[l.factor] for l in w.letters) for w in base_words
+    )
     formula_product = {
         "quotient_word_counts": _counts_by_length(q_words, max_len),
         "covered_image_counts": _counts_by_length(covered, max_len),
@@ -494,8 +430,10 @@ def quotient_conjecture_report(
         )
         for i in range(len(factors))
     )
-    fund_images = _letterwise_images(base_words, treg, fund_maps)
-    distinct_fund = {ws.words[0] for ws in fund_images.values()}
+    distinct_fund = {
+        min(project(treg, w, fund_maps), key=ReducedWord.sort_key)
+        for w in base_words
+    }
     t_words = enumerate_words(treg, max_len)
     formula_fund = {
         "per_factor_quotients_isomorphic": per_factor_iso,
@@ -516,14 +454,12 @@ def quotient_conjecture_report(
     greg = FactorRegistry(gamma_targets)
     sum_images = {psi_image(qreg, w).support for w in q_words}
     g_words = enumerate_words(greg, max_len)
-    by_support = [0] * (max_len + 1)
-    for s in sum_images:
-        if len(s) <= max_len:
-            by_support[len(s)] += 1
+    by_support = _counts_by_length(sum_images, max_len)
+    claimed = _counts_by_length(g_words, max_len)
     formula_comm = {
         "summed_image_counts_by_support": by_support,
-        "claimed_word_counts_by_length": _counts_by_length(g_words, max_len),
-        "counts_agree": by_support == _counts_by_length(g_words, max_len),
+        "claimed_word_counts_by_length": claimed,
+        "counts_agree": by_support == claimed,
     }
 
     return QuotientConjectureReport(
@@ -558,14 +494,10 @@ def polygroup_closure_check(
     for _ in range(samples):
         w2 = pool[rng.randrange(len(pool))]
         w3 = pool[rng.randrange(len(pool))]
-        prod = multiply(registry, w2, w3)
-        w1 = prod.words[rng.randrange(len(prod.words))]
-        back2 = multiply_sets(
-            registry, [w1], [inverse_word(registry, w3)]
-        )
-        back3 = multiply_sets(
-            registry, [inverse_word(registry, w2)], [w1]
-        )
+        prod = sorted(multiply(registry, w2, w3), key=ReducedWord.sort_key)
+        w1 = prod[rng.randrange(len(prod))]
+        back2 = multiply(registry, w1, inverse_word(registry, w3))
+        back3 = multiply(registry, inverse_word(registry, w2), w1)
         checked += 1
         if w2 not in back2 or w3 not in back3:
             failures.append((w1, w2, w3))

@@ -22,6 +22,7 @@ from hyperkernel.core import (
     is_canonical,
     is_closed,
     is_conjugable,
+    is_hypergroup,
     is_normal,
     is_subhypergroup,
     per_table,
@@ -78,6 +79,8 @@ def subhypergroups(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> Su
     system is enumerated and filtered by the reproduction law.  budget
     bounds the product-closed sets visited.
     """
+    if not is_hypergroup(H):
+        raise errors.NotAHypergroup("subhypergroup lattice requires a hypergroup")
     s_beta = kernel_S(H, beta(H)).mask
     s_gamma = kernel_S(H, gamma(H)).mask
     entries = []
@@ -112,6 +115,8 @@ def heart(H: HyperTable) -> ElementSet:
 def derived(H: HyperTable) -> ElementSet:
     """The gamma class that is the identity of the commutative quotient:
     the smallest complete-part subhypergroup containing all division sets."""
+    if not is_hypergroup(H):
+        raise errors.NotAHypergroup("derived subhypergroup requires a hypergroup")
     return kernel_S(H, gamma(H))
 
 

@@ -13,6 +13,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+NON_ASSOCIATIVE = (
+    '{"elements":["a","b","c"],'
+    '"table":[[["c"],["a"],["c"]],[["c"],["a","b"],["c"]],[["b"],["a"],["b"]]]}'
+)
+
+
 class TestCheck:
     def test_h9(self, capsys):
         code, out, _ = run(capsys, "check", "h9", "--json")
@@ -49,11 +55,7 @@ class TestBetaGamma:
         # the smallest strongly regular relation is the single class here;
         # the common-product relation {a,b}|{c} is not strongly regular
         path = tmp_path / "nonassoc.json"
-        path.write_text(
-            '{"elements":["a","b","c"],'
-            '"table":[[["c"],["a"],["c"]],[["c"],["a","b"],["c"]],[["b"],["a"],["b"]]]}',
-            encoding="utf-8",
-        )
+        path.write_text(NON_ASSOCIATIVE, encoding="utf-8")
         code, out, err = run(capsys, "--json", "beta", str(path))
         assert code == 0, err
         assert json.loads(out)["classes"] == [["a", "b", "c"]]
@@ -97,6 +99,21 @@ class TestSubsAndHeart:
         assert json.loads(out)["heart"] == ["a", "b", "c", "e"]
         _, out, _ = run(capsys, "--json", "derived", "s3")
         assert json.loads(out)["derived"] == ["e", "r", "rr"]
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("subs", "subhypergroup lattice requires a hypergroup"),
+            ("derived", "derived subhypergroup requires a hypergroup"),
+        ],
+    )
+    def test_refusal_names_the_command(self, capsys, tmp_path, command, message):
+        path = tmp_path / "nonassoc.json"
+        path.write_text(NON_ASSOCIATIVE, encoding="utf-8")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"hyperkernel: {message}\n"
 
 
 class TestProductAndSr:
@@ -154,6 +171,27 @@ class TestFreeprod:
         )
         doc = json.loads(out)
         assert doc["words"] == ["b@0", "c@0"]
+
+    @pytest.mark.parametrize(
+        "factors, expr, words",
+        [
+            ("h9,v4", "x@0 * x@0 * y@0 a@1", ["x@0 a@1"]),
+            ("h9,v4", "a@1 x@0 * y@0 b@1 z@0", ["c@1 z@0", "a@1 a@0 b@1 z@0"]),
+            ("h9,s3", "x@0 s@1 * z@0 * u@0 r@1", ["x@0 rrs@1", "x@0 s@1 b@0 r@1"]),
+            ("h9,h9", "y@1 x@0 * y@0 x@1", ["1", "a@1", "y@1 a@0 x@1"]),
+            (
+                "h9,h9",
+                "x@0 * x@0 * x@1 * x@1",
+                ["b@0 b@1", "b@0 c@1", "c@0 b@1", "c@0 c@1"],
+            ),
+        ],
+    )
+    def test_eval_orders_words_by_length_factors_elements(
+        self, capsys, factors, expr, words
+    ):
+        code, out, err = run(capsys, "--json", "freeprod", "--factors", factors, "eval", expr)
+        assert code == 0, err
+        assert json.loads(out)["words"] == words
 
     def test_eval_cancellation(self, capsys):
         _, out, _ = run(

@@ -8,7 +8,6 @@ from hyperkernel.freeprod import (
     FactorRegistry,
     Letter,
     ReducedWord,
-    WordSet,
     embed,
     enumerate_words,
     inverse_word,
@@ -24,7 +23,13 @@ from hyperkernel.freeprod import (
     word_inverse_unique,
     word_product,
 )
-from hyperkernel.core import HyperTable
+from hyperkernel.core import (
+    HyperTable,
+    identities,
+    is_hypergroup,
+    is_strongly_regular_hg,
+    unique_inverses,
+)
 from hyperkernel.groups import DirectSumFamily, validate_group
 
 
@@ -57,13 +62,32 @@ class TestRegistry:
         with pytest.raises(errors.NotStronglyRegular):
             FactorRegistry([total_hypergroup(2)])
 
-    def test_closure_check_rejects_non_polygroup_factor(self):
-        # strongly regular, so the registry accepts it, but its identity e
-        # is not scalar: a*e = {e, a}
-        H = HyperTable.from_sets(["e", "a"], [[[0], [1]], [[0, 1], [0, 1]]])
-        reg = FactorRegistry([corpus.klein_four(), H])
-        with pytest.raises(errors.FactorsNotPolygroups, match="factor 1 is not a polygroup"):
-            polygroup_closure_check(reg, max_len=2, samples=10)
+    def test_strong_regularity_gives_unique_identity_and_inverses(self):
+        # FactorRegistry reads identities and inverses without re-checking
+        # their uniqueness; this is the implication it relies on.
+        rng = random.Random(2024)
+        tables = [H for H in corpus.corpus().values() if is_hypergroup(H)]
+        while len(tables) < 400:
+            # a cyclic group's table, some cells widened by a random subset
+            n = rng.choice([2, 3, 4])
+            p = rng.choice([0.1, 0.3, 1.0])
+            rows = [
+                [
+                    1 << (a + b) % n
+                    | (rng.randrange(1 << n) if rng.random() < p else 0)
+                    for b in range(n)
+                ]
+                for a in range(n)
+            ]
+            H = HyperTable([str(i) for i in range(n)], rows)
+            if is_hypergroup(H):
+                tables.append(H)
+        strongly_regular = [H for H in tables if is_strongly_regular_hg(H)]
+        assert 0 < len(strongly_regular) < len(tables)
+        assert any(len(identities(H)) > 1 for H in tables)
+        for H in strongly_regular:
+            assert len(identities(H)) == 1
+            assert unique_inverses(H) is not None
 
     def test_factor_structure(self, reg):
         H9 = reg.factors[0]
@@ -116,25 +140,25 @@ class TestInverseWord:
 class TestMultiply:
     def test_identity_word(self, reg):
         w = make_word(reg, [_letter(reg, 0, "x"), _letter(reg, 1, "a")])
-        assert multiply(reg, EMPTY_WORD, w) == WordSet([w])
-        assert multiply(reg, w, EMPTY_WORD) == WordSet([w])
+        assert multiply(reg, EMPTY_WORD, w) == frozenset([w])
+        assert multiply(reg, w, EMPTY_WORD) == frozenset([w])
 
     def test_distinct_factors_concatenate(self, reg):
         w1 = make_word(reg, [_letter(reg, 0, "x")])
         w2 = make_word(reg, [_letter(reg, 1, "a")])
         out = multiply(reg, w1, w2)
-        assert out == WordSet([make_word(reg, [_letter(reg, 0, "x"), _letter(reg, 1, "a")])])
+        assert out == frozenset([make_word(reg, [_letter(reg, 0, "x"), _letter(reg, 1, "a")])])
 
     def test_full_cancellation_of_sharp_inverse(self, reg):
         # the h9 element a is self inverse with a*a = {e}, so nothing spreads
         a = make_word(reg, [_letter(reg, 0, "a")])
-        assert multiply(reg, a, inverse_word(reg, a)) == WordSet([EMPTY_WORD])
+        assert multiply(reg, a, inverse_word(reg, a)) == frozenset([EMPTY_WORD])
 
     def test_spread_cell_products(self, reg):
         x = make_word(reg, [_letter(reg, 0, "x")])
         out = multiply(reg, x, x)
         H9 = reg.factors[0]
-        assert out == WordSet(
+        assert out == frozenset(
             [
                 ReducedWord((Letter(0, H9.index("b")),)),
                 ReducedWord((Letter(0, H9.index("c")),)),
@@ -147,7 +171,7 @@ class TestMultiply:
         x = make_word(reg, [_letter(reg, 0, "x")])
         y = make_word(reg, [_letter(reg, 0, "y")])
         out = multiply(reg, x, y)
-        assert out == WordSet([EMPTY_WORD, ReducedWord((Letter(0, H9.index("a")),))])
+        assert out == frozenset([EMPTY_WORD, ReducedWord((Letter(0, H9.index("a")),))])
 
     def test_cascading_cancellation(self, reg):
         w1 = make_word(
@@ -199,7 +223,7 @@ class TestEmbedding:
         for s in range(H9.n):
             for t in range(H9.n):
                 lhs = multiply(reg, embed(reg, 0, s), embed(reg, 0, t))
-                rhs = WordSet(embed(reg, 0, z) for z in H9.cell(s, t))
+                rhs = frozenset(embed(reg, 0, z) for z in H9.cell(s, t))
                 assert lhs == rhs
 
 
@@ -280,7 +304,7 @@ class TestPhi:
             w2 = pool[rng.randrange(len(pool))]
             images = {phi(reg, u) for u in multiply(reg, w1, w2)}
             direct = multiply(target, phi(reg, w1), phi(reg, w2))
-            assert images == set(direct.words)
+            assert images == direct
 
     def test_beta_equivalent_substitution_keeps_image(self, reg):
         # swapping a letter within its fundamental class fixes phi
@@ -294,7 +318,7 @@ class TestPhi:
         import hyperkernel.freeprod as fp
 
         w = make_word(reg, [_letter(reg, 0, "x")])
-        two = fp.WordSet([EMPTY_WORD, w])
+        two = frozenset([EMPTY_WORD, w])
         monkeypatch.setattr(fp, "multiply", lambda registry, a, b: two)
         with pytest.raises(errors.NotStronglyRegular, match="2 words"):
             phi(reg, w)
@@ -360,14 +384,6 @@ class TestClosure:
         rep = polygroup_closure_check(reg, max_len=3, samples=250, seed=5)
         assert rep.passed
 
-    def test_rejects_non_polygroup_factor(self):
-        # the pair hypergroup is strongly... not even strongly regular;
-        # use a regular-but-not-polygroup factor to hit the right error
-        from hyperkernel.core import total_hypergroup
-
-        with pytest.raises(errors.NotStronglyRegular):
-            FactorRegistry([total_hypergroup(2)])
-
     def test_closure_check_rejects_non_polygroup_factor(self):
         # strongly regular, so the registry accepts it, but its identity e
         # is not scalar: a*e = {e, a}
@@ -391,3 +407,51 @@ class TestConjectures:
         assert rep.fundamental_formula["images_cover_targets"]
         # the commutative formula's two sides are reported, not asserted
         assert "counts_agree" in rep.commutative_formula
+
+    # Literal counts: the report counts word sets, so the order in which
+    # multiply produces words must not change them.
+    @pytest.mark.parametrize(
+        "second, sub, free_product",
+        [
+            (
+                "v4",
+                ["e", "a"],
+                {
+                    "quotient_word_counts": [1, 6, 10, 30],
+                    "covered_image_counts": [1, 6, 10, 30],
+                    "all_quotient_words_covered": True,
+                    "base_words_with_identity_image": 22,
+                    "sub_product_words": 7,
+                },
+            ),
+            (
+                "s3",
+                ["e", "r", "rr"],
+                {
+                    "quotient_word_counts": [1, 6, 10, 30],
+                    "covered_image_counts": [1, 6, 10, 30],
+                    "all_quotient_words_covered": True,
+                    "base_words_with_identity_image": 45,
+                    "sub_product_words": 14,
+                },
+            ),
+        ],
+    )
+    def test_report_at_length_three(self, h9, second, sub, free_product):
+        G = corpus.fixtures()[second]
+        rep = quotient_conjecture_report(
+            [h9, G], [h9.subset(["e", "a"]), G.subset(sub)], max_len=3
+        )
+        assert rep.max_len == 3
+        assert rep.free_product_of_quotients == free_product
+        assert rep.fundamental_formula == {
+            "per_factor_quotients_isomorphic": True,
+            "target_word_counts": [1, 4, 6, 12],
+            "image_word_counts": [1, 4, 6, 12],
+            "images_cover_targets": True,
+        }
+        assert rep.commutative_formula == {
+            "summed_image_counts_by_support": [1, 4, 3, 0],
+            "claimed_word_counts_by_length": [1, 4, 6, 12],
+            "counts_agree": False,
+        }
