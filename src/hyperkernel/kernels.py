@@ -3,9 +3,15 @@
 Every function takes the table as a nested sequence of bitmasks (rows[a][b]
 is the cell a*b) and speaks plain ints and lists.  The module imports
 nothing from the package, so core and relations can build on it.
+
+The two scans that multiply sets by the table, assoc_witness and
+oracle_merge, multiply each distinct set once (_Products) and then only
+compare or merge the lists it returns: assoc_witness over the interned
+cells, oracle_merge over blocks built from the blocks one letter
+shorter.
 """
 
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
 
 class UnionFind:
@@ -35,27 +41,65 @@ class UnionFind:
         return [self.find(i) for i in range(len(self.parent))]
 
 
+class _Products(dict):
+    """Mask S -> the list of S*c over every column c, built on first lookup.
+
+    S*c is the union of the cells x*c over the members x of S, so each
+    distinct S is multiplied by the table once however often it is met.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, s):
+        rows = self.rows
+        m = s
+        low = m & -m
+        line = list(rows[low.bit_length() - 1])
+        m ^= low
+        while m:
+            low = m & -m
+            line = [x | y for x, y in zip(line, rows[low.bit_length() - 1])]
+            m ^= low
+        self[s] = line
+        return line
+
+
 def assoc_witness(rows, n):
-    """Least triple (packed a*n*n + b*n + c) breaking associativity, or -1."""
+    """Least triple (packed a*n*n + b*n + c) breaking associativity, or -1.
+
+    The distinct cells S_0, S_1, ... are interned: sym[a][b] is the id of
+    the cell a*b, and right[i] is the list of S_i*c over c.  For each a
+    the list a_s of a*S_i over i is built once.  Then (a*b)*c == a*(b*c)
+    for every c exactly when right[sym[a][b]] equals a_s read along the
+    ids sym[b], so each pair (a, b) costs one list comparison.  Pairs go
+    in (a, b) order and the first unequal one yields its least c.
+    """
+    ids = {}
+    sym = [[ids.setdefault(cell, len(ids)) for cell in row] for row in rows]
+    products = _Products(rows)
+    right = [products[s] for s in ids]
     for a in range(n):
         ra = rows[a]
+        a_s = []
+        for s in ids:
+            v = 0
+            while s:
+                low = s & -s
+                v |= ra[low.bit_length() - 1]
+                s ^= low
+            a_s.append(v)
+        at = a_s.__getitem__
+        sym_a = sym[a]
         for b in range(n):
-            ab = ra[b]
-            for c in range(n):
-                left = 0
-                m = ab
-                while m:
-                    low = m & -m
-                    left |= rows[low.bit_length() - 1][c]
-                    m ^= low
-                right = 0
-                m = rows[b][c]
-                while m:
-                    low = m & -m
-                    right |= ra[low.bit_length() - 1]
-                    m ^= low
-                if left != right:
-                    return (a * n + b) * n + c
+            ab_c = right[sym_a[b]]
+            a_bc = list(map(at, sym[b]))
+            if ab_c != a_bc:
+                c = next(c for c in range(n) if ab_c[c] != a_bc[c])
+                return (a * n + b) * n + c
     return -1
 
 
@@ -185,30 +229,38 @@ def sr_check(rows, n, class_of):
 def oracle_merge(rows, n, nmax):
     """Union-find roots after relating all permuted-product overlaps.
 
-    For every tuple of length <= nmax, every element of every product of
-    a reordering of that tuple is merged into one block (tuples with the
-    same multiset are exactly each other's reorderings).  Returns the
-    root of each element, the least member of its block.
+    For every multiset of length <= nmax, every element of the products
+    of all its orderings is merged into one block.  Set products
+    distribute over unions and every ordering ends in one of the
+    multiset's letters, so block(M) is the union, over the distinct
+    letters t of M, of block(M - t)*t: each length is built from the
+    blocks of the previous one, which alone are kept.  Each distinct
+    block is merged once.  Returns the root of each element, the least
+    member of its block.
     """
     uf = UnionFind(n)
-    for k in range(1, nmax + 1):
+    products = _Products(rows)
+    merged = set()
+    prev = {(x,): 1 << x for x in range(n)}
+    for k in range(2, nmax + 1):
+        cur = {}
         for combo in combinations_with_replacement(range(n), k):
             block = 0
-            for tup in set(permutations(combo)):
-                mask = 1 << tup[0]
-                for t in tup[1:]:
-                    nxt = 0
-                    m = mask
-                    while m:
-                        low = m & -m
-                        nxt |= rows[low.bit_length() - 1][t]
-                        m ^= low
-                    mask = nxt
-                block |= mask
+            last = -1
+            for i, t in enumerate(combo):
+                if t != last:
+                    block |= products[prev[combo[:i] + combo[i + 1:]]][t]
+                    last = t
+            if k < nmax:
+                cur[combo] = block
+            if block in merged:
+                continue
+            merged.add(block)
             anchor = (block & -block).bit_length() - 1
             block &= block - 1
             while block:
                 low = block & -block
                 uf.union(anchor, low.bit_length() - 1)
                 block ^= low
+        prev = cur
     return uf.roots()

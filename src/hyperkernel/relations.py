@@ -72,6 +72,9 @@ def gamma_oracle(
     Every element of a product of (x1..xk) is related to every element
     of the product of any reordering; the result is transitively closed.
     Independent of gamma()'s closure/quotient route by construction.
+
+    The budget counts ordered tuples, sum(n**k for k <= nmax), although
+    the kernel visits only the multisets, each once.
     """
     if nmax < 1:
         raise errors.HyperError(f"nmax must be at least 1, got {nmax}")

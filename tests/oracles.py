@@ -16,11 +16,17 @@ complete-part subhypergroups over the powerset scan.
 
 The library checks the quotient identities through the canonical map
 each one names; the backtracking isomorphism search here is the
-independent route that asks only whether some isomorphism exists.  Test
-use only.
+independent route that asks only whether some isomorphism exists.
+
+The library scans associativity over interned cells and builds the
+permuted-product blocks of gamma_oracle length by length; assoc_witness
+and oracle_merge here are the direct routes: a bit loop over every
+triple, and a product of every distinct ordering of every multiset.
+Test use only.
 """
 
 from functools import lru_cache
+from itertools import combinations_with_replacement, permutations
 
 from hyperkernel import kernels, relations
 from hyperkernel.core import (
@@ -40,6 +46,62 @@ from hyperkernel.quotients import SubEntry
 
 # Most product sets the census may find; far above any table tested.
 CENSUS_CAP = 100_000
+
+
+def assoc_witness(rows, n):
+    """Least triple (packed a*n*n + b*n + c) breaking associativity, or -1."""
+    for a in range(n):
+        ra = rows[a]
+        for b in range(n):
+            ab = ra[b]
+            for c in range(n):
+                left = 0
+                m = ab
+                while m:
+                    low = m & -m
+                    left |= rows[low.bit_length() - 1][c]
+                    m ^= low
+                right = 0
+                m = rows[b][c]
+                while m:
+                    low = m & -m
+                    right |= ra[low.bit_length() - 1]
+                    m ^= low
+                if left != right:
+                    return (a * n + b) * n + c
+    return -1
+
+
+def oracle_merge(rows, n, nmax):
+    """Union-find roots after relating all permuted-product overlaps.
+
+    For every tuple of length <= nmax, every element of every product of
+    a reordering of that tuple is merged into one block (tuples with the
+    same multiset are exactly each other's reorderings).  Returns the
+    root of each element, the least member of its block.
+    """
+    uf = kernels.UnionFind(n)
+    for k in range(1, nmax + 1):
+        for combo in combinations_with_replacement(range(n), k):
+            block = 0
+            for tup in set(permutations(combo)):
+                mask = 1 << tup[0]
+                for t in tup[1:]:
+                    nxt = 0
+                    m = mask
+                    while m:
+                        low = m & -m
+                        nxt |= rows[low.bit_length() - 1][t]
+                        m ^= low
+                    mask = nxt
+                block |= mask
+            anchor = (block & -block).bit_length() - 1
+            block &= block - 1
+            while block:
+                low = block & -block
+                uf.union(anchor, low.bit_length() - 1)
+                block ^= low
+    return uf.roots()
 
 
 def all_class_assignments(n: int):

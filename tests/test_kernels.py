@@ -1,11 +1,22 @@
-"""The kernels against their definitions, and on carriers wider than 64."""
+"""The kernels against their definitions and their direct oracles, and on
+carriers wider than 64 and 128 bits."""
 
 import random
 
 import oracles
 from hyperkernel import corpus, kernels
-from hyperkernel.core import HyperTable, Partition, total_hypergroup
-from hyperkernel.relations import is_regular, is_strongly_regular
+from hyperkernel.core import (
+    HyperTable,
+    Partition,
+    bits,
+    direct_product,
+    is_semihypergroup,
+    total_hypergroup,
+)
+from hyperkernel.relations import gamma, is_regular, is_strongly_regular
+
+# The size ladder: h9 alone, then h9 times each of these fixtures.
+LADDER = (None, "z2", "z3", "v4", "s3", "h9")
 
 
 def _random_tables(seed, count):
@@ -55,3 +66,82 @@ def test_wide_carrier():
     assert kernels.oracle_merge(T.rows, T.n, 2) == [0] * 70
     assert kernels.sr_check(T.rows, T.n, [0] * 70)
     assert not kernels.sr_check(T.rows, T.n, list(range(70)))
+
+
+def _permuted(H, rng):
+    """H with its element order shuffled."""
+    order = list(range(H.n))
+    rng.shuffle(order)
+    new_index = [0] * H.n
+    for new, old in enumerate(order):
+        new_index[old] = new
+
+    def remap(mask):
+        return sum(1 << new_index[i] for i in bits(mask))
+
+    rows = [[remap(H.rows[a][b]) for b in order] for a in order]
+    return HyperTable([H.names[i] for i in order], rows)
+
+
+def _widened(H, a, b, extra):
+    """A copy of H whose cell a*b also holds the members of `extra`."""
+    rows = [list(row) for row in H.rows]
+    rows[a][b] |= extra
+    return HyperTable(H.names, rows)
+
+
+def test_kernels_match_their_oracles_on_random_tables():
+    rng = random.Random(8)
+    witnessed_rows = set()
+    for i in range(3000):
+        n = rng.randrange(1, 6)
+        full = (1 << n) - 1
+        rows = tuple(tuple(rng.randrange(1, full + 1) for _ in range(n)) for _ in range(n))
+        packed = kernels.assoc_witness(rows, n)
+        assert packed == oracles.assoc_witness(rows, n), rows
+        if packed >= 0:
+            witnessed_rows.add(packed // (n * n))
+        if i % 10 == 0:
+            for nmax in (1, 2, 3):
+                assert kernels.oracle_merge(rows, n, nmax) == oracles.oracle_merge(rows, n, nmax), rows
+    # witnesses in several rows, so the scan goes past a failing first row
+    assert {0, 1, 2} <= witnessed_rows
+
+
+def test_kernels_match_their_oracles_on_permuted_ladder_rungs():
+    h9 = corpus.h9()
+    fixtures = corpus.fixtures()
+    for second in LADDER:
+        H = h9 if second is None else direct_product(h9, fixtures[second])
+        for seed in (1, 2):
+            P = _permuted(H, random.Random(seed))
+            assert kernels.assoc_witness(P.rows, P.n) == -1
+            if P.n <= 54:
+                assert oracles.assoc_witness(P.rows, P.n) == -1
+                nmax = 3
+            else:
+                # the oracles take over a second here; gamma is the
+                # partition the nmax-3 oracle reaches
+                assert Partition(P.n, kernels.oracle_merge(P.rows, P.n, 3)) == gamma(P)
+                nmax = 2
+            assert kernels.oracle_merge(P.rows, P.n, nmax) == oracles.oracle_merge(P.rows, P.n, nmax)
+
+
+def test_assoc_witness_past_the_first_row():
+    # e.0, the scalar identity, is element 0, so no triple (0, b, c) fails
+    # while its row and column stay as they are
+    H = direct_product(corpus.h9(), corpus.fixtures()["z3"])
+    T = _widened(H, 5, 7, 1 << 20)
+    packed = kernels.assoc_witness(T.rows, T.n)
+    assert packed == oracles.assoc_witness(T.rows, T.n)
+    assert packed // (T.n * T.n) > 0
+
+
+def test_assoc_witness_above_128_bits():
+    H = direct_product(direct_product(corpus.h9(), corpus.h9()), corpus.fixtures()["z2"])
+    assert H.n == 162
+    assert is_semihypergroup(H) == (True, None)
+    T = _widened(H, 1, 2, 1 << 161)
+    packed = kernels.assoc_witness(T.rows, T.n)
+    assert packed >= 0
+    assert packed == oracles.assoc_witness(T.rows, T.n)
