@@ -14,11 +14,17 @@ asserted on every multiplication rather than assumed.
 A set of words is a plain frozenset.  The canonical order of words
 (`ReducedWord.sort_key`: length, then factors, then elements) is applied
 only where order shows: printed word lists and seeded picks.
+
+The conjecture report never lists the base words.  `word_counts` counts
+words by length, and `image_counts` counts the base words reaching each
+(last factor, projected word set) state, multiplying each distinct set
+by each distinct class letter once.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Sized
 
@@ -353,6 +359,59 @@ def word_inverse_unique(
     return hits == [expected]
 
 
+def word_counts(sizes: Sequence[int], max_len: int) -> list[int]:
+    """Number of reduced words of each length <= max_len.
+
+    Factor i supplies sizes[i] letters.  A word of length k+1 ending in
+    factor i extends any word of length k that does not end in i.
+    """
+    counts = [1]
+    ending = [0] * len(sizes)
+    for _ in range(max_len):
+        ending = [m * (counts[-1] - e) for m, e in zip(sizes, ending)]
+        counts.append(sum(ending))
+    return counts
+
+
+def image_counts(
+    base: FactorRegistry,
+    target: FactorRegistry,
+    class_maps: Sequence[Sequence[int]],
+    max_len: int,
+) -> dict[tuple[int, frozenset[ReducedWord]], int]:
+    """Letterwise images of the base words of length <= max_len, counted.
+
+    Maps each state (last base factor, image) to the number of base
+    words that reach it, where the image is what `project` gives for the
+    word.  The empty word's state has last factor -1.  Letters of a
+    factor that share a class extend a state alike, so they are taken
+    once with their multiplicity, and each image times a letter is
+    multiplied out once.
+    """
+    letters = []
+    for i, H in enumerate(base.factors):
+        mult = Counter(class_maps[i][x] for x in range(H.n) if x != base.identities[i])
+        letters.append([(embed(target, i, c), m) for c, m in mult.items()])
+    step: dict[tuple[frozenset[ReducedWord], ReducedWord], frozenset[ReducedWord]] = {}
+    layer = {(-1, frozenset([EMPTY_WORD])): 1}
+    states = dict(layer)
+    for _ in range(max_len):
+        nxt: dict[tuple[int, frozenset[ReducedWord]], int] = {}
+        for (last, image), count in layer.items():
+            for i, choices in enumerate(letters):
+                if i == last:
+                    continue
+                for w, m in choices:
+                    out = step.get((image, w))
+                    if out is None:
+                        out = step[image, w] = multiply_sets(target, image, [w])
+                    nxt[i, out] = nxt.get((i, out), 0) + count * m
+        for state, count in nxt.items():
+            states[state] = states.get(state, 0) + count
+        layer = nxt
+    return states
+
+
 def _counts_by_length(words: Iterable[Sized], max_len: int) -> list[int]:
     counts = [0] * (max_len + 1)
     for w in words:
@@ -379,25 +438,38 @@ def quotient_conjecture_report(
     factors: Sequence[HyperTable],
     subs: Sequence,
     max_len: int = 2,
+    budget: int = DEFAULT_WORD_BUDGET,
 ) -> QuotientConjectureReport:
+    """Compare both sides of each quotient formula on words of length <= max_len.
+
+    Base words are never listed: their images are counted per distinct
+    state by `image_counts`.  More than `budget` base words raises
+    `BudgetExceeded`, as `enumerate_words` would.
+    """
     if len(factors) != len(subs):
         raise errors.ShapeMismatch("one subhypergroup per factor required")
     base = FactorRegistry(factors)
     quots = [quotient_hypergroup(H, K) for H, K in zip(factors, subs)]
     qreg = FactorRegistry(quots)
-    base_words = enumerate_words(base, max_len)
-    q_words = enumerate_words(qreg, max_len)
+    if sum(word_counts([H.n - 1 for H in factors], max_len)) > budget:
+        raise errors.BudgetExceeded(
+            f"more than {budget} words below length {max_len}"
+        )
+    q_words = enumerate_words(qreg, max_len, budget)
     coset_maps = [
         congruence_mod(H, K).class_of for H, K in zip(factors, subs)
     ]
 
     # Words over the quotient factors vs coset images of base words.
-    images = [project(qreg, w, coset_maps) for w in base_words]
-    covered = set().union(*images)
-    kernel_images = sum(EMPTY_WORD in ws for ws in images)
-    sub_words = sum(
-        all(l.elem in subs[l.factor] for l in w.letters) for w in base_words
+    states = image_counts(base, qreg, coset_maps, max_len)
+    covered = set().union(*(image for _, image in states))
+    kernel_images = sum(
+        count for (_, image), count in states.items() if EMPTY_WORD in image
     )
+    sub_sizes = [
+        sum(x != base.identities[i] for x in K) for i, K in enumerate(subs)
+    ]
+    sub_words = sum(word_counts(sub_sizes, max_len))
     formula_product = {
         "quotient_word_counts": _counts_by_length(q_words, max_len),
         "covered_image_counts": _counts_by_length(covered, max_len),
@@ -431,10 +503,10 @@ def quotient_conjecture_report(
         for i in range(len(factors))
     )
     distinct_fund = {
-        min(project(treg, w, fund_maps), key=ReducedWord.sort_key)
-        for w in base_words
+        min(image, key=ReducedWord.sort_key)
+        for _, image in image_counts(base, treg, fund_maps, max_len)
     }
-    t_words = enumerate_words(treg, max_len)
+    t_words = enumerate_words(treg, max_len, budget)
     formula_fund = {
         "per_factor_quotients_isomorphic": per_factor_iso,
         "target_word_counts": _counts_by_length(t_words, max_len),
@@ -453,7 +525,7 @@ def quotient_conjecture_report(
     ]
     greg = FactorRegistry(gamma_targets)
     sum_images = {psi_image(qreg, w).support for w in q_words}
-    g_words = enumerate_words(greg, max_len)
+    g_words = enumerate_words(greg, max_len, budget)
     by_support = _counts_by_length(sum_images, max_len)
     claimed = _counts_by_length(g_words, max_len)
     formula_comm = {

@@ -32,7 +32,8 @@ def _check_label(lab: str, line: int | None) -> str:
     return lab
 
 
-def _parse_cells(body: str, line: int) -> list[list[str]]:
+def _parse_cells(body: str, line: int, valid: set[str]) -> list[list[str]]:
+    """Cells of one row line; `valid` holds the labels already checked."""
     cells = []
     i = 0
     n = len(body)
@@ -49,7 +50,11 @@ def _parse_cells(body: str, line: int) -> list[list[str]]:
         inner = body[i + 1 : end].strip()
         if not inner:
             raise errors.EmptyCell("empty cell", line)
-        cells.append([_check_label(tok.strip(), line) for tok in inner.split(",")])
+        cell = [tok.strip() for tok in inner.split(",")]
+        for tok in cell:
+            if tok not in valid:
+                valid.add(_check_label(tok, line))
+        cells.append(cell)
         i = end + 1
     return cells
 
@@ -60,6 +65,7 @@ def parse_hyp(text: str) -> HyperTable:
     labels: list[str] | None = None
     rows: dict[str, list[list[str]]] = {}
     row_lines: dict[str, int] = {}
+    valid: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -87,7 +93,7 @@ def parse_hyp(text: str) -> HyperTable:
                 raise errors.ParseError("row line without a label", lineno)
             if lab in rows:
                 raise errors.DuplicateLabel(f"duplicate row {lab!r}", lineno)
-            rows[lab] = _parse_cells(value, lineno)
+            rows[lab] = _parse_cells(value, lineno, valid)
             row_lines[lab] = lineno
         else:
             raise errors.ParseError(f"unknown directive {key!r}", lineno)

@@ -22,18 +22,23 @@ The library scans associativity over interned cells and builds the
 permuted-product blocks of gamma_oracle length by length; assoc_witness
 and oracle_merge here are the direct routes: a bit loop over every
 triple, and a product of every distinct ordering of every multiset.
+
+The library counts the letterwise images of the base words of a free
+product per distinct state; quotient_conjecture_report here lists every
+base word and projects each one.
 Test use only.
 """
 
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
-from hyperkernel import kernels, relations
+from hyperkernel import errors, kernels, relations
 from hyperkernel.core import (
     ElementSet,
     HyperTable,
     Partition,
     bits,
+    hyperproduct,
     is_closed,
     is_conjugable,
     is_normal,
@@ -41,8 +46,20 @@ from hyperkernel.core import (
     left_division,
     right_division,
 )
-from hyperkernel.groups import GroupTable, subgroup_generated
-from hyperkernel.quotients import SubEntry
+from hyperkernel.freeprod import (
+    DEFAULT_WORD_BUDGET,
+    EMPTY_WORD,
+    FactorRegistry,
+    QuotientConjectureReport,
+    ReducedWord,
+    _counts_by_length,
+    enumerate_words,
+    project,
+    psi_image,
+)
+from hyperkernel.groups import GroupTable, isomorphic, subgroup_generated
+from hyperkernel.quotients import SubEntry, quotient_hypergroup
+from hyperkernel.relations import congruence_mod, gamma, kernel_S
 
 # Most product sets the census may find; far above any table tested.
 CENSUS_CAP = 100_000
@@ -326,3 +343,94 @@ def find_isomorphism(G1: GroupTable, G2: GroupTable) -> tuple[int, ...] | None:
         return None
 
     return backtrack([])
+
+
+def quotient_conjecture_report(
+    factors, subs, max_len: int = 2, budget: int = DEFAULT_WORD_BUDGET
+) -> QuotientConjectureReport:
+    """freeprod.quotient_conjecture_report by one projection per base word."""
+    if len(factors) != len(subs):
+        raise errors.ShapeMismatch("one subhypergroup per factor required")
+    base = FactorRegistry(factors)
+    quots = [quotient_hypergroup(H, K) for H, K in zip(factors, subs)]
+    qreg = FactorRegistry(quots)
+    base_words = enumerate_words(base, max_len, budget)
+    q_words = enumerate_words(qreg, max_len, budget)
+    coset_maps = [
+        congruence_mod(H, K).class_of for H, K in zip(factors, subs)
+    ]
+
+    # Words over the quotient factors vs coset images of base words.
+    images = [project(qreg, w, coset_maps) for w in base_words]
+    covered = set().union(*images)
+    kernel_images = sum(EMPTY_WORD in ws for ws in images)
+    sub_words = sum(
+        all(l.elem in subs[l.factor] for l in w.letters) for w in base_words
+    )
+    formula_product = {
+        "quotient_word_counts": _counts_by_length(q_words, max_len),
+        "covered_image_counts": _counts_by_length(covered, max_len),
+        "all_quotient_words_covered": set(q_words) <= covered,
+        "base_words_with_identity_image": kernel_images,
+        "sub_product_words": sub_words,
+    }
+
+    # Fundamental side: factors H_i/(S_i K_i) against the fundamental
+    # groups of the quotient factors, then word counts of both targets.
+    lifted = [
+        hyperproduct(H, base.kernels[i], K)
+        for i, (H, K) in enumerate(zip(factors, subs))
+    ]
+    fund_targets = [
+        quotient_hypergroup(H, L) for H, L in zip(factors, lifted)
+    ]
+    treg = FactorRegistry(fund_targets)
+    fund_maps = [
+        congruence_mod(H, L).class_of for H, L in zip(factors, lifted)
+    ]
+    # The canonical map sends the fundamental class of x's coset modulo
+    # K_i to the class of x's coset modulo S_i K_i.
+    per_factor_iso = all(
+        isomorphic(
+            qreg.fundamental_groups[i],
+            treg.fundamental_groups[i],
+            [qreg.betas[i].class_of[c] for c in coset_maps[i]],
+            [treg.betas[i].class_of[c] for c in fund_maps[i]],
+        )
+        for i in range(len(factors))
+    )
+    distinct_fund = {
+        min(project(treg, w, fund_maps), key=ReducedWord.sort_key)
+        for w in base_words
+    }
+    t_words = enumerate_words(treg, max_len, budget)
+    formula_fund = {
+        "per_factor_quotients_isomorphic": per_factor_iso,
+        "target_word_counts": _counts_by_length(t_words, max_len),
+        "image_word_counts": _counts_by_length(distinct_fund, max_len),
+        "images_cover_targets": set(t_words) <= distinct_fund,
+    }
+
+    # Commutative side: distinct summed images of quotient words against
+    # reduced words over the factors H_i/(S_gamma_i K_i).
+    gamma_lifts = [
+        hyperproduct(H, kernel_S(H, gamma(H)), K)
+        for H, K in zip(factors, subs)
+    ]
+    gamma_targets = [
+        quotient_hypergroup(H, L) for H, L in zip(factors, gamma_lifts)
+    ]
+    greg = FactorRegistry(gamma_targets)
+    sum_images = {psi_image(qreg, w).support for w in q_words}
+    g_words = enumerate_words(greg, max_len, budget)
+    by_support = _counts_by_length(sum_images, max_len)
+    claimed = _counts_by_length(g_words, max_len)
+    formula_comm = {
+        "summed_image_counts_by_support": by_support,
+        "claimed_word_counts_by_length": claimed,
+        "counts_agree": by_support == claimed,
+    }
+
+    return QuotientConjectureReport(
+        max_len, formula_product, formula_fund, formula_comm
+    )

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hyperkernel import corpus
+from hyperkernel import cli, corpus
 from hyperkernel.cli import main
 from hyperkernel.hypio import format_hyp
 
@@ -285,3 +289,37 @@ class TestFilesAndDeterminism:
             _, out1, _ = run(capsys, *flags, *argv)
             _, out2, _ = run(capsys, *flags, *argv)
             assert out1 == out2 and out1
+
+
+class TestParserReuse:
+    def test_one_parser_serves_calls_around_a_usage_error(self, capsys, monkeypatch):
+        # main builds its parser once per process; a usage error between
+        # two commands must leave it as a fresh process would find it.
+        monkeypatch.setenv("COLUMNS", "80")
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._parser.cache_clear()
+        argvs = [
+            ("--json", "beta", "h9"),
+            ("quotient", "h9"),
+            ("check", "z3", "--json"),
+            ("--json", "beta", "h9"),
+        ]
+        try:
+            runs = [run(capsys, *argv) for argv in argvs]
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+        assert runs[1][0] == 1 and "required: --sub" in runs[1][2]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        fresh = [
+            subprocess.run(
+                [sys.executable, "-m", "hyperkernel.cli", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+            for argv in argvs
+        ]
+        assert runs == [(p.returncode, p.stdout, p.stderr) for p in fresh]

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import oracles
+from generators import random_hypergroups
 from hyperkernel import corpus, errors
 from hyperkernel.freeprod import (
     EMPTY_WORD,
@@ -10,16 +12,19 @@ from hyperkernel.freeprod import (
     ReducedWord,
     embed,
     enumerate_words,
+    image_counts,
     inverse_word,
     make_word,
     multiply,
     multiply_sets,
     phi,
     polygroup_closure_check,
+    project,
     psi,
     psi_image,
     quotient_conjecture_report,
     support,
+    word_counts,
     word_inverse_unique,
     word_product,
 )
@@ -31,6 +36,8 @@ from hyperkernel.core import (
     unique_inverses,
 )
 from hyperkernel.groups import DirectSumFamily, validate_group
+from hyperkernel.quotients import quotient_hypergroup, subhypergroups
+from hyperkernel.relations import congruence_mod
 
 
 @pytest.fixture(scope="module")
@@ -65,23 +72,13 @@ class TestRegistry:
     def test_strong_regularity_gives_unique_identity_and_inverses(self):
         # FactorRegistry reads identities and inverses without re-checking
         # their uniqueness; this is the implication it relies on.
-        rng = random.Random(2024)
-        tables = [H for H in corpus.corpus().values() if is_hypergroup(H)]
-        while len(tables) < 400:
-            # a cyclic group's table, some cells widened by a random subset
-            n = rng.choice([2, 3, 4])
-            p = rng.choice([0.1, 0.3, 1.0])
-            rows = [
-                [
-                    1 << (a + b) % n
-                    | (rng.randrange(1 << n) if rng.random() < p else 0)
-                    for b in range(n)
-                ]
-                for a in range(n)
-            ]
-            H = HyperTable([str(i) for i in range(n)], rows)
-            if is_hypergroup(H):
-                tables.append(H)
+        generated = random_hypergroups(seed=2024, count=100, max_tries=20000)
+        multivalued = [
+            H for H in generated if any(c & (c - 1) for row in H.rows for c in row)
+        ]
+        assert {3, 4} <= {H.n for H in multivalued}
+        assert {3, 4} <= {H.n for H in generated if is_strongly_regular_hg(H)}
+        tables = [H for H in corpus.corpus().values() if is_hypergroup(H)] + generated
         strongly_regular = [H for H in tables if is_strongly_regular_hg(H)]
         assert 0 < len(strongly_regular) < len(tables)
         assert any(len(identities(H)) > 1 for H in tables)
@@ -455,3 +452,67 @@ class TestConjectures:
             "claimed_word_counts_by_length": [1, 4, 6, 12],
             "counts_agree": False,
         }
+
+
+def _normal_subs(H):
+    return [e.members for e in subhypergroups(H).all if e.normal]
+
+
+class TestStateCounts:
+    """The state-count report against the per-word oracle."""
+
+    @pytest.mark.parametrize("second", ["v4", "s3", "h9"])
+    def test_matches_per_word_oracle_on_every_normal_pair(self, h9, second):
+        G = corpus.fixtures()[second]
+        for K1 in _normal_subs(h9):
+            for K2 in _normal_subs(G):
+                for max_len in (1, 2, 3):
+                    args = ([h9, G], [K1, K2], max_len)
+                    assert quotient_conjecture_report(
+                        *args
+                    ) == oracles.quotient_conjecture_report(*args)
+
+    def test_matches_per_word_oracle_on_h9_h9_at_length_four(self, h9):
+        K = h9.subset(["e", "a"])
+        args = ([h9, h9], [K, K], 4)
+        assert quotient_conjecture_report(*args) == oracles.quotient_conjecture_report(*args)
+
+    def test_budget_threshold(self, h9):
+        G = corpus.klein_four()
+        factors = [h9, G]
+        subs = [h9.subset(["e", "a"]), G.subset(["e", "a"])]
+        words = len(enumerate_words(FactorRegistry(factors), 3))
+        for route in (quotient_conjecture_report, oracles.quotient_conjecture_report):
+            assert route(factors, subs, 3, budget=words).max_len == 3
+            with pytest.raises(errors.BudgetExceeded) as exc:
+                route(factors, subs, 3, budget=words - 1)
+            assert str(exc.value) == f"more than {words - 1} words below length 3"
+
+    @pytest.mark.parametrize(
+        "names", [("z4",), ("h9", "v4"), ("s3", "z3", "z2"), ("h9", "h9")]
+    )
+    def test_word_counts_match_enumeration(self, names):
+        reg = FactorRegistry([corpus.fixtures()[name] for name in names])
+        sizes = [H.n - 1 for H in reg.factors]
+        for max_len in range(5):
+            words = enumerate_words(reg, max_len)
+            counts = word_counts(sizes, max_len)
+            assert counts == [sum(len(w) == k for w in words) for k in range(max_len + 1)]
+
+    def test_state_counts_sum_to_the_words_they_project(self, h9):
+        # Letters of a factor that share a coset are one step with their
+        # multiplicity; every base word lands in exactly one state.
+        G = corpus.symmetric_group_3()
+        factors = [h9, G]
+        subs = [h9.subset(["e", "a"]), G.subset(["e", "r", "rr"])]
+        base = FactorRegistry(factors)
+        target = FactorRegistry(
+            [quotient_hypergroup(H, K) for H, K in zip(factors, subs)]
+        )
+        maps = [congruence_mod(H, K).class_of for H, K in zip(factors, subs)]
+        words = enumerate_words(base, 3)
+        want: dict = {}
+        for w in words:
+            state = (w.letters[-1].factor if w.letters else -1, project(target, w, maps))
+            want[state] = want.get(state, 0) + 1
+        assert image_counts(base, target, maps, 3) == want

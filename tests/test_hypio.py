@@ -61,6 +61,25 @@ class TestParse:
             parse_hyp("elements: a\nrow a: a\n")
         assert exc.value.line == 2
 
+    # Each cell label is checked once per parse; the first error in file
+    # order still wins, whichever labels were checked before it.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("elements: a b\nrow a: {a} {b}\nrow b: {b} {a,b*}\nrow c: {\n", "line 3: bad label 'b*'"),
+            ("elements: a b\nrow a: {a} {b*} x\n", "line 2: bad label 'b*'"),
+            ("elements: a b\nrow a: {a} x {b*}\n", "line 2: expected '{' at column 6"),
+            ("elements: a b\nrow a: {a} {b}\nrow b: {a} {a, b , c d}\n", "line 3: bad label 'c d'"),
+            ("elements: a\nrow a: {z*}\nrow b: {z*}\n", "line 2: bad label 'z*'"),
+            ("elements: a\nrow a: {z}\nrow z: {a,*}\n", "line 3: bad label '*'"),
+        ],
+    )
+    def test_first_bad_cell_label_wins(self, text, message):
+        with pytest.raises(errors.ParseError) as exc:
+            parse_hyp(text)
+        assert type(exc.value) is errors.ParseError
+        assert str(exc.value) == message
+
 
 class TestJson:
     def test_round_trip_document(self, h9):
