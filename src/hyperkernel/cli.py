@@ -340,7 +340,9 @@ def _add_globals(parser: argparse.ArgumentParser, suppress: bool) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hyperkernel",
         description="Finite hypergroup computations on Cayley-table files.",
@@ -430,15 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of `main`, built once per process; parsing leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error; here 2 means exhaustion.
         return 1 if exc.code else 0

@@ -438,19 +438,19 @@ def quotient_conjecture_report(
     factors: Sequence[HyperTable],
     subs: Sequence,
     max_len: int = 2,
-    budget: int = DEFAULT_WORD_BUDGET,
 ) -> QuotientConjectureReport:
     """Compare both sides of each quotient formula on words of length <= max_len.
 
     Base words are never listed: their images are counted per distinct
-    state by `image_counts`.  More than `budget` base words raises
-    `BudgetExceeded`, as `enumerate_words` would.
+    state by `image_counts`.  More than `DEFAULT_WORD_BUDGET` base words
+    raises `BudgetExceeded`, as `enumerate_words` would.
     """
     if len(factors) != len(subs):
         raise errors.ShapeMismatch("one subhypergroup per factor required")
     base = FactorRegistry(factors)
     quots = [quotient_hypergroup(H, K) for H, K in zip(factors, subs)]
     qreg = FactorRegistry(quots)
+    budget = DEFAULT_WORD_BUDGET
     if sum(word_counts([H.n - 1 for H in factors], max_len)) > budget:
         raise errors.BudgetExceeded(
             f"more than {budget} words below length {max_len}"

@@ -32,7 +32,7 @@ Test use only.
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 
-from hyperkernel import errors, kernels, relations
+from hyperkernel import errors, freeprod, kernels, relations
 from hyperkernel.core import (
     ElementSet,
     HyperTable,
@@ -47,7 +47,6 @@ from hyperkernel.core import (
     right_division,
 )
 from hyperkernel.freeprod import (
-    DEFAULT_WORD_BUDGET,
     EMPTY_WORD,
     FactorRegistry,
     QuotientConjectureReport,
@@ -346,11 +345,12 @@ def find_isomorphism(G1: GroupTable, G2: GroupTable) -> tuple[int, ...] | None:
 
 
 def quotient_conjecture_report(
-    factors, subs, max_len: int = 2, budget: int = DEFAULT_WORD_BUDGET
+    factors, subs, max_len: int = 2
 ) -> QuotientConjectureReport:
     """freeprod.quotient_conjecture_report by one projection per base word."""
     if len(factors) != len(subs):
         raise errors.ShapeMismatch("one subhypergroup per factor required")
+    budget = freeprod.DEFAULT_WORD_BUDGET
     base = FactorRegistry(factors)
     quots = [quotient_hypergroup(H, K) for H, K in zip(factors, subs)]
     qreg = FactorRegistry(quots)

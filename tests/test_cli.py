@@ -296,10 +296,7 @@ class TestParserReuse:
         # main builds its parser once per process; a usage error between
         # two commands must leave it as a fresh process would find it.
         monkeypatch.setenv("COLUMNS", "80")
-        builds = []
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
-        cli._parser.cache_clear()
+        cli.build_parser.cache_clear()
         argvs = [
             ("--json", "beta", "h9"),
             ("quotient", "h9"),
@@ -308,9 +305,10 @@ class TestParserReuse:
         ]
         try:
             runs = [run(capsys, *argv) for argv in argvs]
+            builds = cli.build_parser.cache_info().misses
         finally:
-            cli._parser.cache_clear()
-        assert len(builds) == 1
+            cli.build_parser.cache_clear()
+        assert builds == 1
         assert runs[1][0] == 1 and "required: --sub" in runs[1][2]
         src = str(Path(__file__).resolve().parents[1] / "src")
         fresh = [

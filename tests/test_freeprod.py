@@ -4,7 +4,7 @@ import pytest
 
 import oracles
 from generators import random_hypergroups
-from hyperkernel import corpus, errors
+from hyperkernel import corpus, errors, freeprod
 from hyperkernel.freeprod import (
     EMPTY_WORD,
     FactorRegistry,
@@ -72,13 +72,32 @@ class TestRegistry:
     def test_strong_regularity_gives_unique_identity_and_inverses(self):
         # FactorRegistry reads identities and inverses without re-checking
         # their uniqueness; this is the implication it relies on.
+        rng = random.Random(2024)
+        tables = [H for H in corpus.corpus().values() if is_hypergroup(H)]
+        while len(tables) < 400:
+            # a cyclic group's table, some cells widened by a random subset;
+            # these stay near n=2 once multi-valued
+            n = rng.choice([2, 3, 4])
+            p = rng.choice([0.1, 0.3, 1.0])
+            rows = [
+                [
+                    1 << (a + b) % n
+                    | (rng.randrange(1 << n) if rng.random() < p else 0)
+                    for b in range(n)
+                ]
+                for a in range(n)
+            ]
+            H = HyperTable([str(i) for i in range(n)], rows)
+            if is_hypergroup(H):
+                tables.append(H)
+        # group tables widened by cosets reach multi-valued n=3 and n=4
         generated = random_hypergroups(seed=2024, count=100, max_tries=20000)
         multivalued = [
             H for H in generated if any(c & (c - 1) for row in H.rows for c in row)
         ]
         assert {3, 4} <= {H.n for H in multivalued}
         assert {3, 4} <= {H.n for H in generated if is_strongly_regular_hg(H)}
-        tables = [H for H in corpus.corpus().values() if is_hypergroup(H)] + generated
+        tables += generated
         strongly_regular = [H for H in tables if is_strongly_regular_hg(H)]
         assert 0 < len(strongly_regular) < len(tables)
         assert any(len(identities(H)) > 1 for H in tables)
@@ -477,15 +496,17 @@ class TestStateCounts:
         args = ([h9, h9], [K, K], 4)
         assert quotient_conjecture_report(*args) == oracles.quotient_conjecture_report(*args)
 
-    def test_budget_threshold(self, h9):
+    def test_budget_threshold(self, h9, monkeypatch):
         G = corpus.klein_four()
         factors = [h9, G]
         subs = [h9.subset(["e", "a"]), G.subset(["e", "a"])]
         words = len(enumerate_words(FactorRegistry(factors), 3))
         for route in (quotient_conjecture_report, oracles.quotient_conjecture_report):
-            assert route(factors, subs, 3, budget=words).max_len == 3
+            monkeypatch.setattr(freeprod, "DEFAULT_WORD_BUDGET", words)
+            assert route(factors, subs, 3).max_len == 3
+            monkeypatch.setattr(freeprod, "DEFAULT_WORD_BUDGET", words - 1)
             with pytest.raises(errors.BudgetExceeded) as exc:
-                route(factors, subs, 3, budget=words - 1)
+                route(factors, subs, 3)
             assert str(exc.value) == f"more than {words - 1} words below length 3"
 
     @pytest.mark.parametrize(
