@@ -12,6 +12,12 @@ Cells are brace-delimited, comma-separated label sets; every element
 needs exactly one row line.  Files ending in .json carry the same data
 as {"name": ..., "elements": [...], "table": [[["e"], ...], ...]}.
 
+A table repeats few distinct cells many times, so the parser splits
+each row line on '}', checks each distinct cell text once, and maps
+each distinct label tuple to its mask once.  Errors still come in the
+order a cell-by-cell parse meets them: by line and column within the
+text, then unknown labels by row in the order of the elements line.
+
 Reports serialize to canonical JSON: keys sorted, label sets sorted
 lexicographically, byte-identical for identical inputs.
 """
@@ -32,30 +38,41 @@ def _check_label(lab: str, line: int | None) -> str:
     return lab
 
 
-def _parse_cells(body: str, line: int, valid: set[str]) -> list[list[str]]:
-    """Cells of one row line; `valid` holds the labels already checked."""
-    cells = []
-    i = 0
-    n = len(body)
-    while i < n:
-        ch = body[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch != "{":
-            raise errors.ParseError(f"expected '{{' at column {i + 1}", line)
-        end = body.find("}", i)
-        if end < 0:
+def _cell(part: str, column: int, line: int) -> tuple[str, ...]:
+    """Labels of one cell text, the text before a '}' starting at `column`."""
+    body = part.lstrip()
+    if not body or body[0] != "{":
+        raise errors.ParseError(
+            f"expected '{{' at column {column + len(part) - len(body) + 1}", line
+        )
+    inner = body[1:].strip()
+    if not inner:
+        raise errors.EmptyCell("empty cell", line)
+    return tuple(_check_label(tok.strip(), line) for tok in inner.split(","))
+
+
+def _parse_cells(body: str, line: int, labels_of: dict[str, tuple[str, ...]]) -> list[tuple[str, ...]]:
+    """Cells of one row line; `labels_of` maps each cell text already
+    checked to its labels, so each distinct text is checked once per parse."""
+    parts = body.split("}")
+    tail = parts.pop()
+    try:
+        cells = list(map(labels_of.__getitem__, parts))
+    except KeyError:
+        cells = []
+        column = 0
+        for part in parts:
+            cell = labels_of.get(part)
+            if cell is None:
+                cell = labels_of[part] = _cell(part, column, line)
+            cells.append(cell)
+            column += len(part) + 1
+    rest = tail.lstrip()
+    if rest:
+        if rest[0] == "{":
             raise errors.ParseError("unterminated cell", line)
-        inner = body[i + 1 : end].strip()
-        if not inner:
-            raise errors.EmptyCell("empty cell", line)
-        cell = [tok.strip() for tok in inner.split(",")]
-        for tok in cell:
-            if tok not in valid:
-                valid.add(_check_label(tok, line))
-        cells.append(cell)
-        i = end + 1
+        column = len(body) - len(rest)
+        raise errors.ParseError(f"expected '{{' at column {column + 1}", line)
     return cells
 
 
@@ -63,9 +80,9 @@ def parse_hyp(text: str) -> HyperTable:
     """Parse the line-oriented table format."""
     name: str | None = None
     labels: list[str] | None = None
-    rows: dict[str, list[list[str]]] = {}
+    rows: dict[str, list[tuple[str, ...]]] = {}
     row_lines: dict[str, int] = {}
-    valid: set[str] = set()
+    cell_labels: dict[str, tuple[str, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -93,7 +110,7 @@ def parse_hyp(text: str) -> HyperTable:
                 raise errors.ParseError("row line without a label", lineno)
             if lab in rows:
                 raise errors.DuplicateLabel(f"duplicate row {lab!r}", lineno)
-            rows[lab] = _parse_cells(value, lineno, valid)
+            rows[lab] = _parse_cells(value, lineno, cell_labels)
             row_lines[lab] = lineno
         else:
             raise errors.ParseError(f"unknown directive {key!r}", lineno)
@@ -104,7 +121,7 @@ def parse_hyp(text: str) -> HyperTable:
 
 def _build(
     labels: Sequence[str],
-    rows: dict[str, list[list[str]]],
+    rows: dict[str, list[tuple[str, ...]]],
     row_lines: dict[str, int],
     name: str | None,
 ) -> HyperTable:
@@ -112,6 +129,7 @@ def _build(
     for lab in rows:
         if lab not in index:
             raise errors.UnknownLabel(f"row for unknown element {lab!r}", row_lines.get(lab))
+    masks: dict[tuple[str, ...], int] = {}
     grid = []
     for lab in labels:
         if lab not in rows:
@@ -122,16 +140,24 @@ def _build(
             raise errors.ParseError(
                 f"row {lab!r} has {len(cells)} cells, expected {len(labels)}", line
             )
-        row = []
-        for cell in cells:
-            members = []
-            for tok in cell:
-                if tok not in index:
-                    raise errors.UnknownLabel(f"unknown element {tok!r}", line)
-                members.append(index[tok])
-            row.append(members)
+        try:
+            row = list(map(masks.__getitem__, cells))
+        except KeyError:
+            for cell in cells:
+                if cell not in masks:
+                    masks[cell] = _mask(cell, index, line)
+            row = list(map(masks.__getitem__, cells))
         grid.append(row)
-    return HyperTable.from_sets(labels, grid, name=name)
+    return HyperTable(labels, grid, name=name)
+
+
+def _mask(cell: tuple[str, ...], index: dict[str, int], line: int | None) -> int:
+    mask = 0
+    for tok in cell:
+        if tok not in index:
+            raise errors.UnknownLabel(f"unknown element {tok!r}", line)
+        mask |= 1 << index[tok]
+    return mask
 
 
 def parse_hyp_json(text: str) -> HyperTable:
@@ -157,7 +183,7 @@ def parse_hyp_json(text: str) -> HyperTable:
         for cell in row:
             if not cell:
                 raise errors.EmptyCell(f"empty cell in row {lab!r}", None)
-            cells.append([str(tok) for tok in cell])
+            cells.append(tuple(str(tok) for tok in cell))
         rows[lab] = cells
     return _build(labels, rows, {}, doc.get("name"))
 

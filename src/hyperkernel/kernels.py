@@ -6,12 +6,13 @@ nothing from the package, so core and relations can build on it.
 
 The two scans that multiply sets by the table, assoc_witness and
 oracle_merge, multiply each distinct set once (_Products) and then only
-compare or merge the lists it returns: assoc_witness over the interned
-cells, oracle_merge over blocks built from the blocks one letter
-shorter.
+compare or merge the lists it returns, with the per-element work left
+to C: assoc_witness gathers each row with an itemgetter over the
+interned cells and compares tuples, and oracle_merge ORs whole lists of
+blocks, one length at a time, from the blocks one letter shorter.
 """
 
-from itertools import combinations_with_replacement
+from operator import itemgetter, or_
 
 
 class UnionFind:
@@ -72,31 +73,34 @@ def assoc_witness(rows, n):
     """Least triple (packed a*n*n + b*n + c) breaking associativity, or -1.
 
     The distinct cells S_0, S_1, ... are interned: sym[a][b] is the id of
-    the cell a*b, and right[i] is the list of S_i*c over c.  For each a
-    the list a_s of a*S_i over i is built once.  Then (a*b)*c == a*(b*c)
-    for every c exactly when right[sym[a][b]] equals a_s read along the
-    ids sym[b], so each pair (a, b) costs one list comparison.  Pairs go
-    in (a, b) order and the first unequal one yields its least c.
+    the cell a*b, right[i] is the tuple of S_i*c over c, and left[a] is
+    the tuple of a*S_i over i.  Then (a*b)*c == a*(b*c) for every c
+    exactly when right[sym[a][b]] equals left[a] gathered along the ids
+    sym[b], so each pair (a, b) costs one itemgetter call and one tuple
+    comparison.  Equal masks in right and left are one interned object,
+    so that comparison mostly stops at identity.  Pairs go in (a, b)
+    order and the first unequal one yields its least c.
     """
     ids = {}
     sym = [[ids.setdefault(cell, len(ids)) for cell in row] for row in rows]
-    products = _Products(rows)
-    right = [products[s] for s in ids]
-    for a in range(n):
-        ra = rows[a]
-        a_s = []
-        for s in ids:
-            v = 0
-            while s:
-                low = s & -s
-                v |= ra[low.bit_length() - 1]
-                s ^= low
-            a_s.append(v)
-        at = a_s.__getitem__
+    canon = {}
+
+    def interned(line):
+        return tuple(map(canon.setdefault, line, line))
+
+    right = list(map(interned, map(_Products(rows).__getitem__, ids)))
+    by_column = _Products(list(zip(*rows)))
+    left = list(map(interned, zip(*map(by_column.__getitem__, ids))))
+    if n == 1:
+        # a one-index itemgetter returns the item, not a 1-tuple
+        gathers = [lambda line: (line[0],)]
+    else:
+        gathers = [itemgetter(*ids_b) for ids_b in sym]
+    for a, left_a in enumerate(left):
         sym_a = sym[a]
-        for b in range(n):
+        for b, gather in enumerate(gathers):
             ab_c = right[sym_a[b]]
-            a_bc = list(map(at, sym[b]))
+            a_bc = gather(left_a)
             if ab_c != a_bc:
                 c = next(c for c in range(n) if ab_c[c] != a_bc[c])
                 return (a * n + b) * n + c
@@ -233,34 +237,53 @@ def oracle_merge(rows, n, nmax):
     of all its orderings is merged into one block.  Set products
     distribute over unions and every ordering ends in one of the
     multiset's letters, so block(M) is the union, over the distinct
-    letters t of M, of block(M - t)*t: each length is built from the
-    blocks of the previous one, which alone are kept.  Each distinct
-    block is merged once.  Returns the root of each element, the least
-    member of its block.
+    letters t of M, of block(M - t)*t.  The blocks are built one length
+    at a time and only the last length is kept, as a dict from each
+    sorted prefix q to the blocks of q + (t,) for every t >= q[-1].  For
+    all those t at once, block(q + (t,)) is block(q)*t joined with
+    block((q - u) + (t,))*u for each distinct letter u of q: one map of
+    operator.or_ per (q, u), reading block*u from a dict per letter u
+    over the distinct blocks of the layer.  Each distinct block is
+    merged once.  Returns the root of each element, the least member of
+    its block.
     """
     uf = UnionFind(n)
     products = _Products(rows)
     merged = set()
-    prev = {(x,): 1 << x for x in range(n)}
+    # layer[p][t - p[-1]] is block(p + (t,)); the empty prefix starts at 0
+    layer = {(): [1 << t for t in range(n)]}
     for k in range(2, nmax + 1):
-        cur = {}
-        for combo in combinations_with_replacement(range(n), k):
-            block = 0
-            last = -1
-            for i, t in enumerate(combo):
-                if t != last:
-                    block |= products[prev[combo[:i] + combo[i + 1:]]][t]
-                    last = t
-            if k < nmax:
-                cur[combo] = block
-            if block in merged:
-                continue
-            merged.add(block)
+        blocks = list({block for line in layer.values() for block in line})
+        # times[u][block] is block*u, for the blocks of this layer
+        times = [
+            dict(zip(blocks, column))
+            for column in zip(*map(products.__getitem__, blocks))
+        ]
+        found = set()
+        nxt = {}
+        for p, line in layer.items():
+            first = p[-1] if p else 0
+            for last, block in enumerate(line, first):
+                q = p + (last,)
+                new = products[block][last:]
+                u = -1
+                for i, letter in enumerate(q):
+                    if letter == u:
+                        continue
+                    u = letter
+                    r = q[:i] + q[i + 1 :]
+                    src = layer[r][last - r[-1] if r else last :]
+                    new = list(map(or_, new, map(times[u].__getitem__, src)))
+                found.update(new)
+                if k < nmax:
+                    nxt[q] = new
+        layer = nxt
+        for block in found - merged:
             anchor = (block & -block).bit_length() - 1
             block &= block - 1
             while block:
                 low = block & -block
                 uf.union(anchor, low.bit_length() - 1)
                 block ^= low
-        prev = cur
+        merged |= found
     return uf.roots()

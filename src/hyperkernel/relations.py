@@ -124,17 +124,18 @@ def quotient_by(H: HyperTable, R: Partition) -> QuotientStructure:
     k = len(R.classes)
     reps = [c.indices()[0] for c in R.classes]
     cells = [[met[reps[i]][reps[j]] for j in range(k)] for i in range(k)]
-    for i, ci in enumerate(R.classes):
-        for j, cj in enumerate(R.classes):
-            want = cells[i][j]
-            for x in ci:
-                for y in cj:
-                    if met[x][y] != want:
-                        raise errors.NotRegular(
-                            f"cell ({i},{j}) depends on representatives: "
-                            f"({H.names[reps[i]]},{H.names[reps[j]]}) vs "
-                            f"({H.names[x]},{H.names[y]})"
-                        )
+    if not kernels.regular(met, R.class_of):
+        # name the first class pair, in (i, j) order, whose cell moves
+        for i, ci in enumerate(R.classes):
+            for j, cj in enumerate(R.classes):
+                for x in ci:
+                    for y in cj:
+                        if met[x][y] != cells[i][j]:
+                            raise errors.NotRegular(
+                                f"cell ({i},{j}) depends on representatives: "
+                                f"({H.names[reps[i]]},{H.names[reps[j]]}) vs "
+                                f"({H.names[x]},{H.names[y]})"
+                            )
     names = [H.names[r] for r in reps]
     table = HyperTable(names, cells, name=None)
     group = None

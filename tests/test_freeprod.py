@@ -30,6 +30,7 @@ from hyperkernel.freeprod import (
 )
 from hyperkernel.core import (
     HyperTable,
+    direct_product,
     identities,
     is_hypergroup,
     is_strongly_regular_hg,
@@ -97,7 +98,22 @@ class TestRegistry:
         ]
         assert {3, 4} <= {H.n for H in multivalued}
         assert {3, 4} <= {H.n for H in generated if is_strongly_regular_hg(H)}
-        tables += generated
+        # the generator's multi-valued strongly regular tables all have n=2;
+        # their direct products with groups carry them to n=4, 6 and 12
+        fixtures = corpus.fixtures()
+        widened = [
+            direct_product(H, fixtures[g])
+            for H in multivalued
+            if is_strongly_regular_hg(H)
+            for g in ("z2", "z3", "s3")
+        ]
+        assert len(widened) == 18
+        assert {H.n for H in widened} == {4, 6, 12}
+        assert all(
+            is_strongly_regular_hg(H) and any(c & (c - 1) for row in H.rows for c in row)
+            for H in widened
+        )
+        tables += generated + widened
         strongly_regular = [H for H in tables if is_strongly_regular_hg(H)]
         assert 0 < len(strongly_regular) < len(tables)
         assert any(len(identities(H)) > 1 for H in tables)

@@ -81,7 +81,78 @@ class TestParse:
         assert str(exc.value) == message
 
 
+class TestDistinctCells:
+    """Each distinct cell text is checked, and each distinct label tuple
+    mapped to its mask, once per parse; errors still land where a cell by
+    cell parse puts them."""
+
+    def test_same_bad_cell_in_two_rows_gives_the_earlier_line(self):
+        text = "elements: a b\nrow a: {a} {b*}\nrow b: {b} {b*}\n"
+        with pytest.raises(errors.ParseError) as exc:
+            parse_hyp(text)
+        assert str(exc.value) == "line 2: bad label 'b*'"
+
+    def test_spacing_inside_a_cell_does_not_change_its_mask(self):
+        H = parse_hyp("elements: a b\nrow a: {a} {a, b}\nrow b: {a,b} { b ,a }\n")
+        assert H.cell_mask(0, 1) == H.cell_mask(1, 0) == H.cell_mask(1, 1) == 0b11
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            # {zz} is first met in row b, but row a comes first in the
+            # elements line and so names the unknown label
+            ("elements: a b\nrow b: {b} {zz}\nrow a: {a} {zz}\n", errors.UnknownLabel, "line 3: unknown element 'zz'"),
+            ("elements: a b\nrow b: {b} {zz}\nrow a: {zz} {a}\n", errors.UnknownLabel, "line 3: unknown element 'zz'"),
+            ("elements: a b\nrow b: {b} {zz}\nrow a: {a} {a}\n", errors.UnknownLabel, "line 2: unknown element 'zz'"),
+            # a cell count error of an earlier row still comes first
+            ("elements: a b\nrow b: {b} {zz}\nrow a: {a}\n", errors.ParseError, "line 3: row 'a' has 1 cells, expected 2"),
+        ],
+    )
+    def test_first_unknown_label_in_element_row_order_wins(self, text, error, message):
+        with pytest.raises(error) as exc:
+            parse_hyp(text)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("elements: a b\nrow a: {a} {b} }\nrow b: {a,b} {b}\n", "line 2: expected '{' at column 10"),
+            ("elements: a b\nrow a: {a} {a, b} {\nrow b: {a,b} {b}\n", "line 2: unterminated cell"),
+            ("elements: a\nrow a: {a}}\n", "line 2: expected '{' at column 5"),
+            ("elements: a b\nrow a: {a} {a{b}\nrow b: {a,b} {b}\n", "line 2: bad label 'a{b'"),
+            ("elements: a b\nrow a: {a} {a,}\nrow b: {a,b} {b}\n", "line 2: bad label ''"),
+        ],
+    )
+    def test_row_syntax_errors(self, text, message):
+        with pytest.raises(errors.ParseError) as exc:
+            parse_hyp(text)
+        assert type(exc.value) is errors.ParseError
+        assert str(exc.value) == message
+
+
 class TestJson:
+    def test_same_table_as_the_text_format(self, h9):
+        doc = table_doc(h9)
+        doc["table"][0][1] = doc["table"][0][1] * 2
+        assert parse_hyp_json(json.dumps(doc)) == parse_hyp(format_hyp(h9))
+
+    @pytest.mark.parametrize(
+        "table, error, message",
+        [
+            ([[["a"], ["b"]], [["b"], ["a", "zz"]]], errors.UnknownLabel, "unknown element 'zz'"),
+            ([[["a"], ["b"]], [["b"]]], errors.ParseError, "row 'b' has 1 cells, expected 2"),
+            ([[["a"], []], [["b"], ["a"]]], errors.EmptyCell, "empty cell in row 'a'"),
+        ],
+    )
+    def test_errors_carry_no_line(self, table, error, message):
+        doc = {"elements": ["a", "b"], "table": table}
+        with pytest.raises(error) as exc:
+            parse_hyp_json(json.dumps(doc))
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+        assert exc.value.line is None
+
     def test_round_trip_document(self, h9):
         doc = table_doc(h9)
         H2 = parse_hyp_json(json.dumps(doc))

@@ -157,8 +157,22 @@ class TestQuotientBy:
 
     def test_not_regular_raises_with_witness(self, h9):
         bad = Partition.from_classes(9, [[0, 4], [1], [2], [3], [5], [6], [7], [8]])
-        with pytest.raises(errors.NotRegular):
+        with pytest.raises(errors.NotRegular) as exc:
             quotient_by(h9, bad)
+        assert str(exc.value) == "cell (0,0) depends on representatives: (e,e) vs (x,x)"
+
+    @pytest.mark.parametrize(
+        "classes, message",
+        [
+            ([[0], [1, 4], [2], [3], [5], [6], [7], [8]], "cell (1,1) depends on representatives: (a,a) vs (a,x)"),
+            ([[0], [1], [2, 6], [3], [4], [5], [7], [8]], "cell (1,2) depends on representatives: (a,b) vs (a,z)"),
+            ([[0], [1], [2], [3], [4, 5], [6], [7], [8]], "cell (4,4) depends on representatives: (x,x) vs (x,y)"),
+        ],
+    )
+    def test_not_regular_names_the_first_class_pair(self, h9, classes, message):
+        with pytest.raises(errors.NotRegular) as exc:
+            quotient_by(h9, Partition.from_classes(9, classes))
+        assert str(exc.value) == message
 
 
 class TestKernel:
