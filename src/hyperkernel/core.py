@@ -9,7 +9,6 @@ immutable after construction and all operations are pure functions.
 from __future__ import annotations
 
 import functools
-import inspect
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
@@ -309,19 +308,48 @@ def per_table(fn: Callable) -> Callable:
     """Memoise fn(H, *args) on the table H, which is immutable.
 
     Arguments are bound with their defaults first, so fn(H) and fn(H, d)
-    share an entry when d is the default.  An exception is never cached.
-    Only functions with immutable results and hashable arguments qualify.
+    share an entry when d is the default.  The binder reads the parameter
+    names and defaults from fn.__code__ and fn.__defaults__ once, here;
+    a call passing every argument positionally is keyed on its arguments
+    as they are.  Bad calls raise TypeError before fn runs.  An exception
+    is never cached.  Only functions with positional-or-keyword
+    parameters, immutable results and hashable arguments qualify.
     """
-    sig = inspect.signature(fn)
+    params = fn.__code__.co_varnames[1:fn.__code__.co_argcount]
+    defaults = fn.__defaults__ or ()
+    required = len(params) - len(defaults)
+
+    def bind(args: tuple, kwargs: dict) -> tuple:
+        if len(args) > len(params):
+            raise TypeError(
+                f"{fn.__qualname__}() takes {len(params) + 1} positional "
+                f"arguments but {len(args) + 1} were given"
+            )
+        out = list(args)
+        for k in range(len(args), len(params)):
+            if params[k] in kwargs:
+                out.append(kwargs.pop(params[k]))
+            elif k >= required:
+                out.append(defaults[k - required])
+            else:
+                raise TypeError(f"{fn.__qualname__}() missing argument {params[k]!r}")
+        if kwargs:
+            raise TypeError(
+                f"{fn.__qualname__}() got an unexpected or repeated keyword "
+                f"argument {next(iter(kwargs))!r}"
+            )
+        return tuple(out)
 
     @functools.wraps(fn)
     def memoised(H: HyperTable, *args, **kwargs):
-        bound = sig.bind(H, *args, **kwargs)
-        bound.apply_defaults()
-        key = (fn, bound.args[1:])
-        if key not in H.memo:
-            H.memo[key] = fn(*bound.args)
-        return H.memo[key]
+        if kwargs or len(args) != len(params):
+            args = bind(args, kwargs)
+        key = (fn, args)
+        memo = H.memo
+        if key in memo:
+            return memo[key]
+        result = memo[key] = fn(H, *args)
+        return result
 
     return memoised
 

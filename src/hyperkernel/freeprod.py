@@ -18,7 +18,10 @@ only where order shows: printed word lists and seeded picks.
 The conjecture report never lists the base words.  `word_counts` counts
 words by length, and `image_counts` counts the base words reaching each
 (last factor, projected word set) state, multiplying each distinct set
-by each distinct class letter once.
+by each distinct class letter once.  Its commutative side is counted by
+states too: psi . phi is a homomorphism into the direct sum, so
+`psi_supports` adds letter images over (last factor, direct-sum
+element) states instead of mapping each quotient word.
 """
 
 from __future__ import annotations
@@ -26,17 +29,17 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Sized
+from typing import Iterable, NamedTuple, Sequence, Sized
 
 from hyperkernel import errors
 from hyperkernel.core import (
     HyperTable,
+    _require_hypergroup,
     bits,
     from_group,
     hyperproduct,
     identities,
     is_polygroup,
-    is_strongly_regular_hg,
     unique_inverses,
 )
 from hyperkernel.groups import (
@@ -59,8 +62,7 @@ from hyperkernel.relations import (
 DEFAULT_WORD_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True, order=True)
-class Letter:
+class Letter(NamedTuple):
     factor: int
     elem: int
 
@@ -105,10 +107,15 @@ class FactorRegistry:
         self.factors = tuple(factors)
         if not self.factors:
             raise errors.ShapeMismatch("registry needs at least one factor")
+        inverses = []
         betas: list[Partition] = []
         fundamental: list[GroupTable] = []
         for i, H in enumerate(self.factors):
-            if not is_strongly_regular_hg(H):
+            _require_hypergroup(H)
+            # Without identities every C(x) is empty, so unique inverses
+            # alone decide strong regularity.
+            inverses.append(unique_inverses(H))
+            if inverses[-1] is None:
                 raise errors.NotStronglyRegular(
                     f"factor {i} is not a strongly regular hypergroup"
                 )
@@ -121,7 +128,7 @@ class FactorRegistry:
         # Strong regularity makes both unique: two identities would each
         # lie in the other's inverse set C(x).
         self.identities = tuple(identities(H).indices()[0] for H in self.factors)
-        self.inverses = tuple(unique_inverses(H) for H in self.factors)
+        self.inverses = tuple(inverses)
         self.betas = tuple(betas)
         self.kernels = tuple(
             betas[i].classes[fundamental[i].identity] for i in range(len(self.factors))
@@ -412,6 +419,42 @@ def image_counts(
     return states
 
 
+def psi_supports(
+    registry: FactorRegistry, max_len: int
+) -> set[tuple[tuple[int, int], ...]]:
+    """Distinct `psi_image` supports of the words of length <= max_len.
+
+    psi . phi is a homomorphism into the direct sum, so a word's image is
+    the sum of its letters' images projections[i][betas[i].class_of[x]].
+    States (last factor, componentwise sum) grow layer by layer, each
+    distinct letter image once; a state reached at a shorter length is
+    not grown again, since all it reaches was reached from there.
+    """
+    family = registry.direct_sum_family()
+    zero = tuple(A.identity for A in family.abelianizations)
+    steps = [
+        (A.rows, {proj[b.class_of[x]] for x in range(H.n) if x != e})
+        for H, b, e, proj, A in zip(
+            registry.factors, registry.betas, registry.identities,
+            family.projections, family.abelianizations,
+        )
+    ]
+    layer = {(-1, zero)}
+    seen = set(layer)
+    for _ in range(max_len):
+        nxt = set()
+        for last, acc in layer:
+            for i, (rows, images) in enumerate(steps):
+                if i != last:
+                    row = rows[acc[i]]
+                    nxt.update((i, acc[:i] + (row[c],) + acc[i + 1:]) for c in images)
+        layer = nxt - seen
+        seen |= layer
+    return {
+        tuple((i, c) for i, c in enumerate(acc) if c != zero[i]) for _, acc in seen
+    }
+
+
 def _counts_by_length(words: Iterable[Sized], max_len: int) -> list[int]:
     counts = [0] * (max_len + 1)
     for w in words:
@@ -442,8 +485,11 @@ def quotient_conjecture_report(
     """Compare both sides of each quotient formula on words of length <= max_len.
 
     Base words are never listed: their images are counted per distinct
-    state by `image_counts`.  More than `DEFAULT_WORD_BUDGET` base words
-    raises `BudgetExceeded`, as `enumerate_words` would.
+    state by `image_counts`.  The commutative side sums the letter images
+    of the quotient words per (last factor, direct-sum element) state in
+    `psi_supports`, which is exact because psi . phi is additive.  More
+    than `DEFAULT_WORD_BUDGET` base words raises `BudgetExceeded`, as
+    `enumerate_words` would.
     """
     if len(factors) != len(subs):
         raise errors.ShapeMismatch("one subhypergroup per factor required")
@@ -524,7 +570,7 @@ def quotient_conjecture_report(
         quotient_hypergroup(H, L) for H, L in zip(factors, gamma_lifts)
     ]
     greg = FactorRegistry(gamma_targets)
-    sum_images = {psi_image(qreg, w).support for w in q_words}
+    sum_images = psi_supports(qreg, max_len)
     g_words = enumerate_words(greg, max_len, budget)
     by_support = _counts_by_length(sum_images, max_len)
     claimed = _counts_by_length(g_words, max_len)

@@ -24,8 +24,10 @@ and oracle_merge here are the direct routes: a bit loop over every
 triple, and a product of every distinct ordering of every multiset.
 
 The library counts the letterwise images of the base words of a free
-product per distinct state; quotient_conjecture_report here lists every
-base word and projects each one.
+product per distinct state, and sums the direct-sum images of the
+quotient words per (last factor, sum) state; quotient_conjecture_report
+here lists every base word and projects each one, and maps every
+quotient word through psi_image.
 Test use only.
 """
 

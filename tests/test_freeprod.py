@@ -22,6 +22,7 @@ from hyperkernel.freeprod import (
     project,
     psi,
     psi_image,
+    psi_supports,
     quotient_conjecture_report,
     support,
     word_counts,
@@ -59,6 +60,28 @@ def group_reg():
     )
 
 
+@pytest.fixture(scope="module")
+def generated():
+    return random_hypergroups(seed=2024, count=100, max_tries=20000)
+
+
+def _multivalued(H):
+    return any(c & (c - 1) for row in H.rows for c in row)
+
+
+@pytest.fixture(scope="module")
+def widened(generated):
+    """The generator's multi-valued strongly regular tables, all n=2,
+    times z2, z3 and s3."""
+    fixtures = corpus.fixtures()
+    return [
+        direct_product(H, fixtures[g])
+        for H in generated
+        if _multivalued(H) and is_strongly_regular_hg(H)
+        for g in ("z2", "z3", "s3")
+    ]
+
+
 def _letter(reg, factor, label):
     return reg.letter(factor, reg.factors[factor].index(label))
 
@@ -70,7 +93,15 @@ class TestRegistry:
         with pytest.raises(errors.NotStronglyRegular):
             FactorRegistry([total_hypergroup(2)])
 
-    def test_strong_regularity_gives_unique_identity_and_inverses(self):
+    def test_rejects_non_hypergroup_factor(self):
+        # e*e = e*a = {e} breaks reproduction: no hypergroup, so the
+        # strong-regularity question is not reached
+        H = HyperTable.from_sets(["e", "a"], [[[0], [0]], [[0, 1], [0, 1]]])
+        assert not is_hypergroup(H)
+        with pytest.raises(errors.NotAHypergroup):
+            FactorRegistry([corpus.klein_four(), H])
+
+    def test_strong_regularity_gives_unique_identity_and_inverses(self, generated, widened):
         # FactorRegistry reads identities and inverses without re-checking
         # their uniqueness; this is the implication it relies on.
         rng = random.Random(2024)
@@ -92,27 +123,13 @@ class TestRegistry:
             if is_hypergroup(H):
                 tables.append(H)
         # group tables widened by cosets reach multi-valued n=3 and n=4
-        generated = random_hypergroups(seed=2024, count=100, max_tries=20000)
-        multivalued = [
-            H for H in generated if any(c & (c - 1) for row in H.rows for c in row)
-        ]
-        assert {3, 4} <= {H.n for H in multivalued}
+        assert {3, 4} <= {H.n for H in generated if _multivalued(H)}
         assert {3, 4} <= {H.n for H in generated if is_strongly_regular_hg(H)}
         # the generator's multi-valued strongly regular tables all have n=2;
         # their direct products with groups carry them to n=4, 6 and 12
-        fixtures = corpus.fixtures()
-        widened = [
-            direct_product(H, fixtures[g])
-            for H in multivalued
-            if is_strongly_regular_hg(H)
-            for g in ("z2", "z3", "s3")
-        ]
         assert len(widened) == 18
         assert {H.n for H in widened} == {4, 6, 12}
-        assert all(
-            is_strongly_regular_hg(H) and any(c & (c - 1) for row in H.rows for c in row)
-            for H in widened
-        )
+        assert all(is_strongly_regular_hg(H) and _multivalued(H) for H in widened)
         tables += generated + widened
         strongly_regular = [H for H in tables if is_strongly_regular_hg(H)]
         assert 0 < len(strongly_regular) < len(tables)
@@ -405,6 +422,27 @@ class TestPsi:
         w = make_word(group_reg, [group_reg.letter(1, 1)])
         with pytest.raises(errors.FamilyMismatch):
             psi(fam, w)
+
+
+class TestPsiSupports:
+    """The state route against psi_image on every word."""
+
+    @staticmethod
+    def _per_word(reg, max_len):
+        return {psi_image(reg, w).support for w in enumerate_words(reg, max_len)}
+
+    @pytest.mark.parametrize("names", [("s3",), ("s3", "s3"), ("s3", "z3", "z2"), ("h9", "v4")])
+    def test_matches_per_word_images(self, names):
+        reg = FactorRegistry([corpus.fixtures()[name] for name in names])
+        for max_len in range(6):
+            assert psi_supports(reg, max_len) == self._per_word(reg, max_len)
+
+    def test_matches_per_word_images_on_multivalued_products(self, widened):
+        z2 = corpus.cyclic_group(2)
+        for H in widened:
+            reg = FactorRegistry([H, z2])
+            for max_len in range(6):
+                assert psi_supports(reg, max_len) == self._per_word(reg, max_len)
 
 
 class TestClosure:

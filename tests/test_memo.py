@@ -116,6 +116,28 @@ class TestPerTable:
         assert f(H, 1, 3) == 4
         assert calls == [(1, 2), (1, 3)]
 
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((1,), {"c": 3}),  # unknown keyword
+            ((), {"b": 2}),  # missing required argument
+            ((1, 2, 3), {}),  # too many positionals
+            ((1,), {"a": 1}),  # a given twice
+        ],
+    )
+    def test_bad_calls_raise_and_leave_no_entry(self, args, kwargs):
+        calls = []
+
+        @per_table
+        def f(H, a, b=2):
+            calls.append((a, b))
+            return a + b
+
+        H = fresh(corpus.cyclic_group(2))
+        with pytest.raises(TypeError):
+            f(H, *args, **kwargs)
+        assert calls == [] and H.memo == {}
+
 
 @pytest.fixture
 def table_files(tmp_path):
