@@ -7,6 +7,14 @@ Output is a human-readable text report by default and canonical JSON
 with --json; identical inputs and flags produce byte-identical output.
 
 Exit codes: 0 success, 1 any error, 2 budget exhaustion.
+
+Every call of the command line is a fresh process, and importing the
+layers costs more than most commands run.  So the module imports only
+what every command needs (errors, core, hypio, corpus), and each
+handler imports the layer it runs: relations for beta and gamma,
+quotients for the lattice and quotient commands, freeprod for freeprod.
+Handlers reach those names through the module (`relations.beta(H)`), so
+a patched module attribute is seen on every call.
 """
 
 from __future__ import annotations
@@ -15,18 +23,21 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from hyperkernel import errors
 from hyperkernel import corpus as corpus_mod
-from hyperkernel import core, freeprod, hypio, quotients, relations
+from hyperkernel import core, hypio
 from hyperkernel.core import ElementSet, HyperTable
 from hyperkernel.hypio import emit_report, partition_labels, set_labels, table_doc
 
+if TYPE_CHECKING:
+    from hyperkernel import freeprod, relations
+
 
 def _load(arg: str) -> HyperTable:
-    fixtures = corpus_mod.fixtures()
-    if arg in fixtures:
-        return fixtures[arg]
+    if arg in corpus_mod.FIXTURE_NAMES:
+        return corpus_mod.fixture(arg)
     path = Path(arg)
     if path.exists():
         return hypio.load_table(path)
@@ -120,6 +131,8 @@ def _cmd_check(args) -> dict:
 
 
 def _fundamental_doc(H: HyperTable, R) -> dict:
+    from hyperkernel import relations
+
     q = relations.quotient_by(H, R)
     doc = {
         "classes": partition_labels(H.names, R),
@@ -131,11 +144,15 @@ def _fundamental_doc(H: HyperTable, R) -> dict:
 
 
 def _cmd_beta(args) -> dict:
+    from hyperkernel import relations
+
     H = _load(args.table)
     return _fundamental_doc(H, relations.beta(H))
 
 
 def _cmd_gamma(args) -> dict:
+    from hyperkernel import relations
+
     H = _load(args.table)
     if args.oracle:
         doc = _fundamental_doc(H, relations.gamma_oracle(H, nmax=args.nmax))
@@ -148,6 +165,8 @@ def _cmd_gamma(args) -> dict:
 
 
 def _cmd_heart(args) -> dict:
+    from hyperkernel import quotients
+
     H = _load(args.table)
     return {
         "heart": set_labels(H.names, quotients.heart(H)),
@@ -156,6 +175,8 @@ def _cmd_heart(args) -> dict:
 
 
 def _cmd_derived(args) -> dict:
+    from hyperkernel import quotients
+
     H = _load(args.table)
     return {
         "derived": set_labels(H.names, quotients.derived(H)),
@@ -164,6 +185,8 @@ def _cmd_derived(args) -> dict:
 
 
 def _cmd_subs(args) -> dict:
+    from hyperkernel import quotients
+
     H = _load(args.table)
     lattice = quotients.subhypergroups(H)
     entries = []
@@ -191,6 +214,8 @@ def _cmd_subs(args) -> dict:
 
 
 def _cmd_quotient(args) -> dict:
+    from hyperkernel import quotients, relations
+
     H = _load(args.table)
     K = _parse_subset(H, args.sub)
     Q = quotients.quotient_hypergroup(H, K)
@@ -237,6 +262,8 @@ def _cmd_quotient(args) -> dict:
 
 
 def _cmd_product(args) -> dict:
+    from hyperkernel import quotients
+
     H1 = _load(args.table1)
     H2 = _load(args.table2)
     rep = quotients.product_identities_check(H1, H2)
@@ -251,6 +278,8 @@ def _cmd_product(args) -> dict:
 
 
 def _cmd_sr_enum(args) -> dict:
+    from hyperkernel import quotients, relations
+
     H = _load(args.table)
     found = relations.enumerate_strongly_regular(H, budget=args.budget)
     lattice = quotients.subhypergroups(H)
@@ -266,6 +295,8 @@ def _cmd_sr_enum(args) -> dict:
 
 
 def _parse_word(reg: freeprod.FactorRegistry, text: str) -> freeprod.ReducedWord:
+    from hyperkernel import freeprod
+
     toks = text.split()
     if not toks:
         raise errors.ParseError("empty word; the empty word is written 1")
@@ -293,6 +324,8 @@ def _format_word(reg: freeprod.FactorRegistry, w: freeprod.ReducedWord) -> str:
 
 
 def _cmd_freeprod(args) -> dict:
+    from hyperkernel import freeprod
+
     factor_tables = [_load(tok) for tok in args.factors.split(",") if tok]
     reg = freeprod.FactorRegistry(factor_tables)
     if args.action == "eval":

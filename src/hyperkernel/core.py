@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from hyperkernel import errors, kernels
 
@@ -354,8 +353,7 @@ def per_table(fn: Callable) -> Callable:
     return memoised
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Axiom flags plus a witness for every flag that came out false."""
 
     is_semihypergroup: bool
@@ -367,7 +365,7 @@ class StructureReport:
     is_strongly_regular_hg: bool
     is_polygroup: bool
     identities: ElementSet
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict
 
 
 def hyperproduct(H: HyperTable, A: ElementSet, B: ElementSet) -> ElementSet:

@@ -98,22 +98,33 @@ def pair_hypergroup(n: int, name: str | None = None) -> HyperTable:
     return HyperTable([str(i) for i in range(n)], rows, name)
 
 
+_FIXTURES = {
+    "h9": h9,
+    "h9-quotient": h9_quotient,
+    "z2": lambda: cyclic_group(2),
+    "z3": lambda: cyclic_group(3),
+    "z4": lambda: cyclic_group(4),
+    "v4": klein_four,
+    "s3": symmetric_group_3,
+    "total2": lambda: total_hypergroup(2, name="total2"),
+    "total3": lambda: total_hypergroup(3, name="total3"),
+    "total4": lambda: total_hypergroup(4, name="total4"),
+}
+
+# The names the command line accepts in place of files.
+FIXTURE_NAMES = frozenset(_FIXTURES)
+
+
+@lru_cache(maxsize=None)
+def fixture(name: str) -> HyperTable:
+    """The named fixture, built on first use and shared afterwards."""
+    return _FIXTURES[name]()
+
+
 @lru_cache(maxsize=1)
 def fixtures() -> dict[str, HyperTable]:
-    """The named tables the command line accepts in place of files."""
-    out = {
-        "h9": h9(),
-        "h9-quotient": h9_quotient(),
-        "z2": cyclic_group(2),
-        "z3": cyclic_group(3),
-        "z4": cyclic_group(4),
-        "v4": klein_four(),
-        "s3": symmetric_group_3(),
-        "total2": total_hypergroup(2, name="total2"),
-        "total3": total_hypergroup(3, name="total3"),
-        "total4": total_hypergroup(4, name="total4"),
-    }
-    return out
+    """Every named fixture, the same objects that `fixture` returns."""
+    return {name: fixture(name) for name in _FIXTURES}
 
 
 @lru_cache(maxsize=1)

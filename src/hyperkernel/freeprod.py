@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Sized
+from typing import Iterable, NamedTuple, Sequence
 
 from hyperkernel import errors
 from hyperkernel.core import (
@@ -67,12 +66,10 @@ class Letter(NamedTuple):
     elem: int
 
 
-@dataclass(frozen=True)
-class ReducedWord:
-    letters: tuple[Letter, ...] = ()
+class ReducedWord(NamedTuple):
+    """Letters of a reduced word; its length is len(w.letters), not len(w)."""
 
-    def __len__(self) -> int:
-        return len(self.letters)
+    letters: tuple[Letter, ...] = ()
 
     def is_empty(self) -> bool:
         return not self.letters
@@ -455,16 +452,19 @@ def psi_supports(
     }
 
 
-def _counts_by_length(words: Iterable[Sized], max_len: int) -> list[int]:
+def _counts_by_length(lengths: Iterable[int], max_len: int) -> list[int]:
     counts = [0] * (max_len + 1)
-    for w in words:
-        if len(w) <= max_len:
-            counts[len(w)] += 1
+    for k in lengths:
+        if k <= max_len:
+            counts[k] += 1
     return counts
 
 
-@dataclass(frozen=True)
-class QuotientConjectureReport:
+def _word_lengths(words: Iterable[ReducedWord]) -> Iterable[int]:
+    return (len(w.letters) for w in words)
+
+
+class QuotientConjectureReport(NamedTuple):
     """Bounded-length evidence on the claimed quotient formulas.
 
     Nothing here is asserted; each block pairs counts computed on the
@@ -517,8 +517,8 @@ def quotient_conjecture_report(
     ]
     sub_words = sum(word_counts(sub_sizes, max_len))
     formula_product = {
-        "quotient_word_counts": _counts_by_length(q_words, max_len),
-        "covered_image_counts": _counts_by_length(covered, max_len),
+        "quotient_word_counts": _counts_by_length(_word_lengths(q_words), max_len),
+        "covered_image_counts": _counts_by_length(_word_lengths(covered), max_len),
         "all_quotient_words_covered": set(q_words) <= covered,
         "base_words_with_identity_image": kernel_images,
         "sub_product_words": sub_words,
@@ -555,8 +555,8 @@ def quotient_conjecture_report(
     t_words = enumerate_words(treg, max_len, budget)
     formula_fund = {
         "per_factor_quotients_isomorphic": per_factor_iso,
-        "target_word_counts": _counts_by_length(t_words, max_len),
-        "image_word_counts": _counts_by_length(distinct_fund, max_len),
+        "target_word_counts": _counts_by_length(_word_lengths(t_words), max_len),
+        "image_word_counts": _counts_by_length(_word_lengths(distinct_fund), max_len),
         "images_cover_targets": set(t_words) <= distinct_fund,
     }
 
@@ -572,8 +572,8 @@ def quotient_conjecture_report(
     greg = FactorRegistry(gamma_targets)
     sum_images = psi_supports(qreg, max_len)
     g_words = enumerate_words(greg, max_len, budget)
-    by_support = _counts_by_length(sum_images, max_len)
-    claimed = _counts_by_length(g_words, max_len)
+    by_support = _counts_by_length(map(len, sum_images), max_len)
+    claimed = _counts_by_length(_word_lengths(g_words), max_len)
     formula_comm = {
         "summed_image_counts_by_support": by_support,
         "claimed_word_counts_by_length": claimed,
@@ -585,8 +585,7 @@ def quotient_conjecture_report(
     )
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     triples_checked: int
     failures: tuple[tuple[ReducedWord, ReducedWord, ReducedWord], ...]
 

@@ -8,7 +8,7 @@ definitions as intersections of complete-part subhypergroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from hyperkernel import errors
 from hyperkernel.core import (
@@ -53,8 +53,7 @@ def is_complete_part(H: HyperTable, C: ElementSet) -> bool:
     return all(k.mask & cm in (0, k.mask) for k in beta(H).classes)
 
 
-@dataclass(frozen=True)
-class SubEntry:
+class SubEntry(NamedTuple):
     members: ElementSet
     closed: bool
     normal: bool
@@ -64,8 +63,7 @@ class SubEntry:
     contains_S_gamma: bool
 
 
-@dataclass(frozen=True)
-class SubLattice:
+class SubLattice(NamedTuple):
     all: tuple[SubEntry, ...]
 
     def sets(self) -> tuple[ElementSet, ...]:
@@ -177,8 +175,7 @@ def check_abelian_quotient(H: HyperTable, K: ElementSet) -> bool:
     return G is not None and G.is_abelian()
 
 
-@dataclass(frozen=True)
-class IdentityOutcome:
+class IdentityOutcome(NamedTuple):
     relation: str
     kernel_match: bool
     quotient_iso: bool
@@ -189,8 +186,7 @@ class IdentityOutcome:
         return self.kernel_match and self.quotient_iso and self.chain_match
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     outcomes: tuple[IdentityOutcome, ...]
 
     @property
@@ -274,8 +270,7 @@ def correspondence_check(H: HyperTable, K: ElementSet) -> CorrespondenceReport:
     return correspondence_probe(H, K)
 
 
-@dataclass(frozen=True)
-class ProductIdentitiesReport:
+class ProductIdentitiesReport(NamedTuple):
     kernel_match: bool
     gamma_quotient_iso: bool
     product_kernel: ElementSet
@@ -315,36 +310,3 @@ def product_identities_check(H1: HyperTable, H2: HyperTable) -> ProductIdentitie
         )
     )
     return ProductIdentitiesReport(sp == expected, iso, sp, expected)
-
-
-@dataclass(frozen=True)
-class GroupQuotientProbe:
-    """One subhypergroup's facts for the open closedness question."""
-
-    members: ElementSet
-    closed: bool
-    normal: bool
-    contains_heart: bool
-    quotient_is_group: bool
-
-
-def group_quotient_probe(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> list[GroupQuotientProbe]:
-    """Survey every subhypergroup for the closedness question.
-
-    Records, without asserting, whether normal subhypergroups containing
-    the heart but possibly not closed still give group quotients.
-    """
-    s_beta = kernel_S(H, beta(H)).mask
-    out = []
-    for K in subhypergroups(H, budget).sets():
-        q = _coset_quotient(H, K)
-        out.append(
-            GroupQuotientProbe(
-                members=K,
-                closed=is_closed(H, K),
-                normal=is_normal(H, K),
-                contains_heart=K.mask | s_beta == K.mask,
-                quotient_is_group=q is not None and q.is_group,
-            )
-        )
-    return out

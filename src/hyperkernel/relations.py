@@ -12,8 +12,6 @@ cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from hyperkernel import errors, kernels
 from hyperkernel.core import (
     DEFAULT_CLOSED_SET_BUDGET,
@@ -101,18 +99,25 @@ def is_strongly_regular(H: HyperTable, R: Partition) -> bool:
     return kernels.sr_check(H.rows, H.n, R.class_of)
 
 
-@dataclass(frozen=True)
 class QuotientStructure:
     """Class-level table of a regular relation, with group detection.
 
     Group-ness is established a posteriori: the table must be single
     valued and pass group validation, never assumed from the relation.
+    A plain slotted class, not a tuple, so that it can be weakly
+    referenced.
     """
 
-    relation: Partition
-    table: HyperTable
-    is_group: bool
-    group: GroupTable | None
+    __slots__ = ("relation", "table", "is_group", "group", "__weakref__")
+
+    def __init__(
+        self, relation: Partition, table: HyperTable, is_group: bool,
+        group: GroupTable | None,
+    ):
+        self.relation = relation
+        self.table = table
+        self.is_group = is_group
+        self.group = group
 
 
 @per_table

@@ -54,6 +54,7 @@ from hyperkernel.freeprod import (
     QuotientConjectureReport,
     ReducedWord,
     _counts_by_length,
+    _word_lengths,
     enumerate_words,
     project,
     psi_image,
@@ -370,8 +371,8 @@ def quotient_conjecture_report(
         all(l.elem in subs[l.factor] for l in w.letters) for w in base_words
     )
     formula_product = {
-        "quotient_word_counts": _counts_by_length(q_words, max_len),
-        "covered_image_counts": _counts_by_length(covered, max_len),
+        "quotient_word_counts": _counts_by_length(_word_lengths(q_words), max_len),
+        "covered_image_counts": _counts_by_length(_word_lengths(covered), max_len),
         "all_quotient_words_covered": set(q_words) <= covered,
         "base_words_with_identity_image": kernel_images,
         "sub_product_words": sub_words,
@@ -408,8 +409,8 @@ def quotient_conjecture_report(
     t_words = enumerate_words(treg, max_len, budget)
     formula_fund = {
         "per_factor_quotients_isomorphic": per_factor_iso,
-        "target_word_counts": _counts_by_length(t_words, max_len),
-        "image_word_counts": _counts_by_length(distinct_fund, max_len),
+        "target_word_counts": _counts_by_length(_word_lengths(t_words), max_len),
+        "image_word_counts": _counts_by_length(_word_lengths(distinct_fund), max_len),
         "images_cover_targets": set(t_words) <= distinct_fund,
     }
 
@@ -425,8 +426,8 @@ def quotient_conjecture_report(
     greg = FactorRegistry(gamma_targets)
     sum_images = {psi_image(qreg, w).support for w in q_words}
     g_words = enumerate_words(greg, max_len, budget)
-    by_support = _counts_by_length(sum_images, max_len)
-    claimed = _counts_by_length(g_words, max_len)
+    by_support = _counts_by_length(map(len, sum_images), max_len)
+    claimed = _counts_by_length(_word_lengths(g_words), max_len)
     formula_comm = {
         "summed_image_counts_by_support": by_support,
         "claimed_word_counts_by_length": claimed,

@@ -198,7 +198,7 @@ def test_criterion_09_free_product_suite():
         for w in sample:
             assert fp.word_inverse_unique(reg, w, 4, pool=pool)
         # commutator words vanish under the summed projection
-        nonempty = [w for w in pool if not w.is_empty() and len(w) <= 2]
+        nonempty = [w for w in pool if not w.is_empty() and len(w.letters) <= 2]
         for _ in range(80):
             w1 = nonempty[rng.randrange(len(nonempty))]
             w2 = nonempty[rng.randrange(len(nonempty))]

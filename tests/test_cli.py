@@ -10,11 +10,23 @@ from hyperkernel import cli, corpus
 from hyperkernel.cli import main
 from hyperkernel.hypio import format_hyp
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter, importing the library from src/, run with args."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
 
 
 NON_ASSOCIATIVE = (
@@ -310,14 +322,80 @@ class TestParserReuse:
             cli.build_parser.cache_clear()
         assert builds == 1
         assert runs[1][0] == 1 and "required: --sub" in runs[1][2]
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        fresh = [
-            subprocess.run(
-                [sys.executable, "-m", "hyperkernel.cli", *argv],
-                capture_output=True,
-                text=True,
-                env={**os.environ, "PYTHONPATH": src},
-            )
-            for argv in argvs
-        ]
-        assert runs == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+        fresh_runs = [fresh("-m", "hyperkernel.cli", *argv) for argv in argvs]
+        assert runs == [(p.returncode, p.stdout, p.stderr) for p in fresh_runs]
+
+
+# A fresh interpreter imports the CLI, optionally runs one command with its
+# output discarded, and prints the modules that appeared and how many
+# fixtures were built.
+_FRESH_IMPORT = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import hyperkernel.cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        hyperkernel.cli.main(argv)
+print(json.dumps({
+    "modules": sorted(set(sys.modules) - before),
+    "fixtures_built": hyperkernel.corpus.fixture.cache_info().currsize,
+}))
+"""
+
+LAYERS = ("hyperkernel.groups", "hyperkernel.relations", "hyperkernel.quotients",
+          "hyperkernel.freeprod")
+
+
+def fresh_import(argv) -> dict:
+    proc = fresh("-c", _FRESH_IMPORT, json.dumps(list(argv)))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestColdStart:
+    @pytest.mark.parametrize(
+        "argv,absent",
+        [
+            ((), LAYERS),
+            (("check", "h9"), LAYERS),
+            (("--json", "beta", "h9"), ("hyperkernel.quotients", "hyperkernel.freeprod")),
+        ],
+        ids=["import", "check", "beta"],
+    )
+    def test_a_fresh_process_loads_only_the_layer_it_runs(self, argv, absent):
+        loaded = fresh_import(argv)["modules"]
+        assert "hyperkernel.cli" in loaded
+        assert not {"dataclasses", "inspect", *absent} & set(loaded)
+
+    def test_a_file_argument_builds_no_fixture(self, tmp_path):
+        path = tmp_path / "mine.hyp"
+        path.write_text(format_hyp(corpus.h9()), encoding="utf-8")
+        assert fresh_import(["--json", "check", str(path)])["fixtures_built"] == 0
+        assert fresh_import(["--json", "check", "h9"])["fixtures_built"] == 1
+
+    def test_fixtures_are_the_per_name_fixtures(self):
+        fixtures = corpus.fixtures()
+        assert set(fixtures) == corpus.FIXTURE_NAMES
+        assert all(corpus.fixture(name) is H for name, H in fixtures.items())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "h9"),
+            ("--json", "beta", "h9"),
+            ("gamma", "h9", "--oracle", "--nmax", "3"),
+            ("heart", "h9"),
+            ("derived", "s3"),
+            ("subs", "h9", "--closed", "--normal"),
+            ("quotient", "h9", "--sub", "e,a"),
+            ("product", "h9", "z2"),
+            ("sr-enum", "v4"),
+            ("--json", "freeprod", "--factors", "h9,v4", "eval", "x@0 a@1 * y@0"),
+        ],
+        ids=lambda argv: next(a for a in argv if not a.startswith("-")),
+    )
+    def test_a_fresh_process_prints_what_main_prints(self, capsys, argv):
+        proc = fresh("-m", "hyperkernel.cli", *argv)
+        assert run(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr)
+        assert proc.returncode == 0 and proc.stdout

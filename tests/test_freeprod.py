@@ -151,7 +151,7 @@ class TestWords:
 
     def test_two_letter_word(self, reg):
         w = make_word(reg, [_letter(reg, 0, "x"), _letter(reg, 1, "a")])
-        assert len(w) == 2
+        assert len(w.letters) == 2
 
     def test_adjacent_same_factor_rejected(self, reg):
         with pytest.raises(errors.AdjacentSameFactor):
@@ -288,7 +288,7 @@ class TestEnumeration:
     def test_two_factor_counts(self):
         reg2 = FactorRegistry([corpus.cyclic_group(3), corpus.cyclic_group(3)])
         words = enumerate_words(reg2, 2)
-        assert [len([w for w in words if len(w) == k]) for k in (0, 1, 2)] == [1, 4, 8]
+        assert [len([w for w in words if len(w.letters) == k]) for k in (0, 1, 2)] == [1, 4, 8]
 
     def test_budget(self, reg):
         with pytest.raises(errors.BudgetExceeded):
@@ -572,7 +572,7 @@ class TestStateCounts:
         for max_len in range(5):
             words = enumerate_words(reg, max_len)
             counts = word_counts(sizes, max_len)
-            assert counts == [sum(len(w) == k for w in words) for k in range(max_len + 1)]
+            assert counts == [sum(len(w.letters) == k for w in words) for k in range(max_len + 1)]
 
     def test_state_counts_sum_to_the_words_they_project(self, h9):
         # Letters of a factor that share a coset are one step with their

@@ -22,7 +22,6 @@ from hyperkernel.quotients import (
     correspondence_check,
     correspondence_probe,
     derived,
-    group_quotient_probe,
     heart,
     is_complete_part,
     product_identities_check,
@@ -325,13 +324,13 @@ class TestKernelClassification:
 
 
 class TestProbes:
-    def test_group_quotient_probe_shape(self, h9):
-        rows = group_quotient_probe(h9)
-        assert len(rows) == len(subhypergroups(h9).all)
-        # informational: the closedness question; no assertion on outcomes
-        for row in rows:
-            if row.closed and row.normal and row.contains_heart:
-                assert row.quotient_is_group
+    def test_closed_normal_subs_containing_the_heart_give_groups(self, h9):
+        implied = 0
+        for e in subhypergroups(h9).all:
+            if e.closed and e.normal and e.contains_S_beta:
+                assert check_group_quotient(h9, e.members), e.members
+                implied += 1
+        assert implied > 0
 
     def test_identity_set_sits_inside_derived_kernel(self, full_corpus):
         # Inclusion always holds; strictness does occur (the 9-element
