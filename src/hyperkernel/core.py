@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import re
+from operator import or_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from hyperkernel import errors, kernels
@@ -389,6 +390,12 @@ def left_division(H: HyperTable, b: int, c: int) -> ElementSet:
 
 
 @per_table
+def _columns(H: HyperTable) -> tuple[tuple[int, ...], ...]:
+    """_columns(H)[b][a] is the cell a*b."""
+    return tuple(zip(*H.rows))
+
+
+@per_table
 def is_semihypergroup(H: HyperTable) -> tuple[bool, tuple[int, int, int] | None]:
     """Associativity over all triples; returns the least failing one."""
     packed = kernels.assoc_witness(H.rows, H.n)
@@ -403,13 +410,8 @@ def is_semihypergroup(H: HyperTable) -> tuple[bool, tuple[int, int, int] | None]
 def is_quasihypergroup(H: HyperTable) -> tuple[bool, int | None]:
     """Reproduction law a*H = H*a = H; returns the least failing element."""
     full = H.full_mask
-    for a in range(H.n):
-        row = 0
-        col = 0
-        for x in range(H.n):
-            row |= H.rows[a][x]
-            col |= H.rows[x][a]
-        if row != full or col != full:
+    for a, (row, col) in enumerate(zip(H.rows, _columns(H))):
+        if functools.reduce(or_, row) != full or functools.reduce(or_, col) != full:
             return False, a
     return True, None
 
@@ -419,10 +421,9 @@ def is_hypergroup(H: HyperTable) -> bool:
 
 
 def commutativity_witness(H: HyperTable) -> tuple[int, int] | None:
-    for a in range(H.n):
-        for b in range(a + 1, H.n):
-            if H.rows[a][b] != H.rows[b][a]:
-                return (a, b)
+    for a, (row, col) in enumerate(zip(H.rows, _columns(H))):
+        if row != col:
+            return (a, next(b for b in range(a + 1, H.n) if row[b] != col[b]))
     return None
 
 
@@ -444,12 +445,9 @@ def identities(H: HyperTable) -> ElementSet:
 
 def scalar_identity(H: HyperTable) -> int | None:
     """The e with e*x = x*e = {x} for every x, if it exists."""
-    for e in range(H.n):
-        if all(
-            H.rows[e][x] == 1 << x and H.rows[x][e] == 1 << x for x in range(H.n)
-        ):
-            return e
-    return None
+    singletons = tuple(1 << x for x in range(H.n))
+    lines = enumerate(zip(H.rows, _columns(H)))
+    return next((e for e, (row, col) in lines if row == singletons == col), None)
 
 
 def inverse_candidates(H: HyperTable, x: int) -> tuple[ElementSet, ElementSet, ElementSet]:
@@ -473,28 +471,23 @@ def _require_hypergroup(H: HyperTable) -> None:
 def is_regular_hg(H: HyperTable) -> bool:
     """Identities exist and every element has at least one inverse."""
     _require_hypergroup(H)
-    if not identities(H):
-        return False
-    return all(bool(inverse_candidates(H, x)[2]) for x in range(H.n))
+    return bool(identities(H)) and all(inverse_candidates(H, x)[2] for x in range(H.n))
 
 
 def is_strongly_regular_hg(H: HyperTable) -> bool:
     """Identities exist and every element has exactly one inverse."""
     _require_hypergroup(H)
-    if not identities(H):
-        return False
-    return all(len(inverse_candidates(H, x)[2]) == 1 for x in range(H.n))
+    return bool(identities(H)) and all(
+        len(inverse_candidates(H, x)[2]) == 1 for x in range(H.n)
+    )
 
 
 def unique_inverses(H: HyperTable) -> tuple[int, ...] | None:
     """Map x -> its unique inverse, or None if any C(x) is not a singleton."""
-    inv = []
-    for x in range(H.n):
-        c = inverse_candidates(H, x)[2]
-        if len(c) != 1:
-            return None
-        inv.append(c.indices()[0])
-    return tuple(inv)
+    cands = [inverse_candidates(H, x)[2] for x in range(H.n)]
+    if any(len(c) != 1 for c in cands):
+        return None
+    return tuple(c.indices()[0] for c in cands)
 
 
 def _reversibility_witness(
@@ -514,14 +507,10 @@ def _reversibility_witness(
 
 def is_polygroup(H: HyperTable) -> bool:
     """Hypergroup with scalar identity, unique inverses, and reversibility."""
-    if not is_hypergroup(H):
-        return False
-    if scalar_identity(H) is None:
+    if not is_hypergroup(H) or scalar_identity(H) is None:
         return False
     inv = unique_inverses(H)
-    if inv is None:
-        return False
-    return _reversibility_witness(H, inv) is None
+    return inv is not None and _reversibility_witness(H, inv) is None
 
 
 def is_canonical(H: HyperTable) -> bool:
@@ -529,14 +518,31 @@ def is_canonical(H: HyperTable) -> bool:
     return is_commutative(H) and is_polygroup(H)
 
 
-def is_subhypergroup(H: HyperTable, K: ElementSet) -> bool:
+def coset_lists(H: HyperTable, km: int) -> tuple[list[int], list[int]]:
+    """(K*x over every x, x*K over every x) for the set K with mask km.
+
+    K*x is the OR of the rows of the members of K, and x*K the OR of
+    their columns.  The subhypergroup predicates read these two lists,
+    passed in as their argument lists or built here.
+    """
+    kx = xk = [0] * H.n
+    cols = _columns(H)
+    for k in bits(km):
+        kx = list(map(or_, kx, H.rows[k]))
+        xk = list(map(or_, xk, cols[k]))
+    return kx, xk
+
+
+def _hits(km: int, kx: Sequence[int], xk: Sequence[int]) -> int:
+    """Mask of the x for which K*x or x*K meets K."""
+    return mask_of(x for x, m in enumerate(map(or_, kx, xk)) if m & km)
+
+
+def is_subhypergroup(H: HyperTable, K: ElementSet, lists=None) -> bool:
     """k*K = K*k = K for every k in K."""
-    if not K:
-        return False
     km = K.mask
-    return all(
-        H.mul_mask(1 << k, km) == km and H.mul_mask(km, 1 << k) == km for k in bits(km)
-    )
+    kx, xk = lists or coset_lists(H, km)
+    return km != 0 and all(kx[k] == km == xk[k] for k in bits(km))
 
 
 # A closed-set family on n points has at most 2^n members, so this budget
@@ -619,44 +625,33 @@ def product_closure(H: HyperTable) -> Callable[[int, int], int | None]:
     return close
 
 
-def is_closed(H: HyperTable, K: ElementSet) -> bool:
+def is_closed(H: HyperTable, K: ElementSet, lists=None) -> bool:
     """No solution x outside K of b in a*x or b in x*a with a, b inside."""
     km = K.mask
-    if not km:
-        return False
-    for x in range(H.n):
-        if km >> x & 1:
-            continue
-        for a in bits(km):
-            if H.rows[a][x] & km or H.rows[x][a] & km:
-                return False
-    return True
+    return km != 0 and _hits(km, *(lists or coset_lists(H, km))) | km == km
 
 
-def is_normal(H: HyperTable, K: ElementSet) -> bool:
+def is_normal(H: HyperTable, K: ElementSet, lists=None) -> bool:
     """x*K = K*x for every x."""
-    km = K.mask
-    return all(H.mul_mask(1 << x, km) == H.mul_mask(km, 1 << x) for x in range(H.n))
+    kx, xk = lists or coset_lists(H, K.mask)
+    return kx == xk
 
 
-def is_conjugable(H: HyperTable, K: ElementSet) -> bool:
+def is_conjugable(H: HyperTable, K: ElementSet, lists=None) -> bool:
     """Both-sided conjugability of K.
 
     Whenever a member of K appears in k*x or x*k for some k in K, x must
     lie in K and some x' must satisfy x'*x inside K.
+
+    On a product-closed K (K*K inside K) this equals is_closed.  The
+    hits outside K are what is_closed forbids, and every hit x inside K
+    has x' = x, since x*x is inside K.
     """
     km = K.mask
-    if not km:
-        return False
-    for x in range(H.n):
-        hit = any(H.rows[k][x] & km or H.rows[x][k] & km for k in bits(km))
-        if not hit:
-            continue
-        if not km >> x & 1:
-            return False
-        if not any(H.rows[xp][x] | km == km for xp in range(H.n)):
-            return False
-    return True
+    hits = _hits(km, *(lists or coset_lists(H, km)))
+    columns = _columns(H)
+    outside_ok = km != 0 and hits | km == km
+    return outside_ok and all(any(c | km == km for c in columns[x]) for x in bits(hits))
 
 
 def from_group(table: Sequence[Sequence[int]], names: Sequence[str] | None = None,

@@ -17,11 +17,11 @@ from hyperkernel.core import (
     HyperTable,
     Partition,
     closed_sets,
+    coset_lists,
     direct_product,
     hyperproduct,
     is_canonical,
     is_closed,
-    is_conjugable,
     is_hypergroup,
     is_normal,
     is_subhypergroup,
@@ -35,7 +35,6 @@ from hyperkernel.relations import (
     beta,
     congruence_mod,
     gamma,
-    is_regular,
     join,
     kernel_S,
     pullback,
@@ -84,15 +83,17 @@ def subhypergroups(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> Su
     entries = []
     for mask in closed_sets(H.n, product_closure(H), budget, "subhypergroup lattice"):
         K = ElementSet(H.n, mask)
-        if not is_subhypergroup(H, K):
+        lists = coset_lists(H, mask)
+        if not is_subhypergroup(H, K, lists):
             continue
+        closed = is_closed(H, K, lists)
         entries.append(
             SubEntry(
                 members=K,
-                closed=is_closed(H, K),
-                normal=is_normal(H, K),
+                closed=closed,
+                normal=is_normal(H, K, lists),
                 complete_part=is_complete_part(H, K),
-                conjugable=is_conjugable(H, K),
+                conjugable=closed,  # equal on product-closed sets: is_conjugable
                 contains_S_beta=mask | s_beta == mask,
                 contains_S_gamma=mask | s_gamma == mask,
             )
@@ -119,15 +120,9 @@ def derived(H: HyperTable) -> ElementSet:
 
 
 def _coset_names(H: HyperTable, K: ElementSet, part: Partition) -> list[str]:
-    km = K.mask
-    names = []
-    for block in part.classes:
-        rep = block.indices()[0]
-        if H.mul_mask(1 << rep, km) == km:
-            names.append("K")
-        else:
-            names.append(f"{H.names[rep]}K")
-    return names
+    xk = coset_lists(H, K.mask)[1]
+    reps = (block.indices()[0] for block in part.classes)
+    return ["K" if xk[r] == K.mask else f"{H.names[r]}K" for r in reps]
 
 
 @per_table
@@ -148,10 +143,10 @@ def quotient_hypergroup(H: HyperTable, K: ElementSet, name: str | None = None) -
 
 def _coset_quotient(H: HyperTable, K: ElementSet) -> QuotientStructure | None:
     """Quotient by coset equality, or None when it is not well defined."""
-    part = congruence_mod(H, K)
-    if not is_regular(H, part):
+    try:
+        return quotient_by(H, congruence_mod(H, K))
+    except errors.NotRegular:
         return None
-    return quotient_by(H, part)
 
 
 def _closed_quotient_group(H: HyperTable, K: ElementSet) -> GroupTable | None:

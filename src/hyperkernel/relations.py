@@ -19,6 +19,7 @@ from hyperkernel.core import (
     HyperTable,
     Partition,
     closed_sets,
+    coset_lists,
     is_hypergroup,
     is_normal,
     is_subhypergroup,
@@ -155,10 +156,16 @@ def quotient_by(H: HyperTable, R: Partition) -> QuotientStructure:
 
 
 def kernel_S(H: HyperTable, R: Partition) -> ElementSet:
-    """The class acting as the identity of the quotient group."""
-    if not is_strongly_regular(H, R):
+    """The class acting as the identity of the quotient group.
+
+    A regular R is strongly regular exactly when every cell of its
+    memoised quotient_by(H, R) is a singleton."""
+    try:
+        q = quotient_by(H, R)
+    except errors.NotRegular:
+        q = None
+    if q is None or any(c & (c - 1) for row in q.table.rows for c in row):
         raise errors.NotStronglyRegular("kernel needs a strongly regular relation")
-    q = quotient_by(H, R)
     if not q.is_group:
         raise errors.NotStronglyRegular("quotient is not a group")
     return R.classes[q.group.identity]
@@ -166,15 +173,10 @@ def kernel_S(H: HyperTable, R: Partition) -> ElementSet:
 
 def congruence_mod(H: HyperTable, K: ElementSet) -> Partition:
     """x related to y iff x*K and y*K coincide as sets."""
-    if not is_subhypergroup(H, K):
+    lists = coset_lists(H, K.mask)
+    if not is_subhypergroup(H, K, lists):
         raise errors.NotASubhypergroup("congruence needs a subhypergroup")
-    km = K.mask
-    coset_of: dict[int, int] = {}
-    class_of = []
-    for x in range(H.n):
-        cm = H.mul_mask(1 << x, km)
-        class_of.append(coset_of.setdefault(cm, len(coset_of)))
-    return Partition(H.n, class_of)
+    return Partition(H.n, lists[1])
 
 
 def pullback(sigma: Partition, rho: Partition) -> Partition:
@@ -208,8 +210,15 @@ def enumerate_strongly_regular(
     regular relation is the pullback through beta* of a congruence of
     the fundamental group G, that is of the coset partition of a normal
     subgroup.  The subgroups of G are the nonempty product-closed subsets
-    of its table; budget bounds the product-closed sets visited.  Each
-    pullback is re-checked, and a failure raises as an internal error.
+    of its table; budget bounds the product-closed sets visited.
+
+    Each congruence sigma is re-checked on the k x k table of G, not on
+    its pullback R on the n x n table of H; a failure raises as an
+    internal error.  The two checks agree: with p the map of H onto G,
+    beta is strongly regular, so the cell a*x lies inside the beta class
+    p(a)p(x), and the one class of R it meets is the sigma class of
+    p(a)p(x).  As p is onto, R is strongly regular on H exactly when
+    sigma is strongly regular on G.
     """
     if not is_hypergroup(H):
         raise errors.NotAHypergroup("strongly regular enumeration requires a hypergroup")
@@ -223,11 +232,11 @@ def enumerate_strongly_regular(
         N = ElementSet(G.n, mask)
         if not mask or not is_normal(G, N):
             continue
-        R = pullback(congruence_mod(G, N), b)
-        if not is_strongly_regular(H, R):
+        sigma = congruence_mod(G, N)
+        if not is_strongly_regular(G, sigma):
             raise errors.NotStronglyRegular(
                 f"pullback of normal subgroup {N.labels(G.names)} is not strongly regular"
             )
-        found.append(R)
+        found.append(pullback(sigma, b))
     found.sort(key=Partition.sort_key)
     return found

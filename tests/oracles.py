@@ -7,6 +7,11 @@ all Bell(n) partitions, which tests each partition against the
 definitions of regular and strongly regular relations, not through
 hyperkernel.kernels.
 
+The library reads the subhypergroup predicates (subhypergroup, closed,
+normal, conjugable) from the two lists K*x and x*K over every x;
+is_subhypergroup, is_closed, is_normal and is_conjugable here multiply
+K by each element, bit by bit, and feed the powerset scan.
+
 The library computes beta by congruence closure, complete parts as
 unions of beta classes, and the heart and the derived subhypergroup as
 the identity classes of beta and gamma.  Here beta, complete parts, the
@@ -41,10 +46,6 @@ from hyperkernel.core import (
     Partition,
     bits,
     hyperproduct,
-    is_closed,
-    is_conjugable,
-    is_normal,
-    is_subhypergroup,
     left_division,
     right_division,
 )
@@ -138,6 +139,53 @@ def all_class_assignments(n: int):
     yield from rec(1, 0) if n > 1 else iter([tuple(a)])
 
 
+def is_subhypergroup(H: HyperTable, K: ElementSet) -> bool:
+    """k*K = K*k = K for every k in K."""
+    if not K:
+        return False
+    km = K.mask
+    return all(
+        H.mul_mask(1 << k, km) == km and H.mul_mask(km, 1 << k) == km for k in bits(km)
+    )
+
+
+def is_closed(H: HyperTable, K: ElementSet) -> bool:
+    """No solution x outside K of b in a*x or b in x*a with a, b inside."""
+    km = K.mask
+    if not km:
+        return False
+    for x in range(H.n):
+        if km >> x & 1:
+            continue
+        for a in bits(km):
+            if H.rows[a][x] & km or H.rows[x][a] & km:
+                return False
+    return True
+
+
+def is_normal(H: HyperTable, K: ElementSet) -> bool:
+    """x*K = K*x for every x."""
+    km = K.mask
+    return all(H.mul_mask(1 << x, km) == H.mul_mask(km, 1 << x) for x in range(H.n))
+
+
+def is_conjugable(H: HyperTable, K: ElementSet) -> bool:
+    """Whenever a member of K appears in k*x or x*k for some k in K, x must
+    lie in K and some x' must satisfy x'*x inside K."""
+    km = K.mask
+    if not km:
+        return False
+    for x in range(H.n):
+        hit = any(H.rows[k][x] & km or H.rows[x][k] & km for k in bits(km))
+        if not hit:
+            continue
+        if not km >> x & 1:
+            return False
+        if not any(H.rows[xp][x] | km == km for xp in range(H.n)):
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def powerset_subhypergroups(H: HyperTable) -> tuple[int, ...]:
     """Masks of all subhypergroups, by testing every nonempty subset."""
@@ -175,7 +223,7 @@ def is_complete_part(H: HyperTable, C: ElementSet) -> bool:
 
 
 def subhypergroup_entries(H: HyperTable) -> tuple[SubEntry, ...]:
-    """The lattice entries with flags, straight from the predicates."""
+    """The lattice entries with flags, straight from the predicates here."""
     s_beta = relations.kernel_S(H, relations.beta(H)).mask
     s_gamma = relations.kernel_S(H, relations.gamma(H)).mask
     out = []

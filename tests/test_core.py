@@ -298,3 +298,62 @@ class TestConstructions:
             ):
                 if not getattr(rep, flag):
                     assert flag in rep.witnesses
+
+
+def _cell_loop_predicates(H):
+    """Reproduction witness, scalar identity and commutativity witness,
+    cell by cell from their definitions."""
+    n, rows = H.n, H.rows
+    quasi = (True, None)
+    for a in range(n):
+        row = col = 0
+        for x in range(n):
+            row |= rows[a][x]
+            col |= rows[x][a]
+        if row != H.full_mask or col != H.full_mask:
+            quasi = (False, a)
+            break
+    scalar = next(
+        (e for e in range(n) if all(rows[e][x] == 1 << x == rows[x][e] for x in range(n))),
+        None,
+    )
+    pairs = ((a, b) for a in range(n) for b in range(a + 1, n))
+    comm = next(((a, b) for a, b in pairs if rows[a][b] != rows[b][a]), None)
+    return quasi, scalar, comm
+
+
+def _row_predicate_tables():
+    import random
+
+    import generators
+
+    rng = random.Random(3)
+    out = list(corpus.corpus().values()) + generators.random_hypergroups(9, 40, 4000)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        out.append(HyperTable([str(i) for i in range(n)],
+                              [[rng.randrange(1, 1 << n) for _ in range(n)] for _ in range(n)]))
+    for G in (corpus.cyclic_group(4), corpus.klein_four(), corpus.symmetric_group_3()):
+        for _ in range(20):
+            rows = [list(r) for r in G.rows]
+            a, b = rng.randrange(G.n), rng.randrange(G.n)
+            rows[a][b] |= 1 << rng.randrange(G.n)
+            out.append(HyperTable(G.names, rows))
+    return out
+
+
+def test_row_predicates_match_cell_loops():
+    # The axiom and identity predicates read whole rows and columns; check
+    # them, and the polygroup and regularity flags, against cell loops and
+    # structure_report on corpus, generated, random and perturbed tables.
+    for H in _row_predicate_tables():
+        quasi, scalar, comm = _cell_loop_predicates(H)
+        assert is_quasihypergroup(H) == quasi, H.rows
+        assert core.scalar_identity(H) == scalar, H.rows
+        assert core.commutativity_witness(H) == comm, H.rows
+        rep = core.structure_report(H)
+        assert is_polygroup(H) == rep.is_polygroup, H.rows
+        if rep.is_hypergroup:
+            assert is_regular_hg(H) == rep.is_regular_hg, H.rows
+            assert is_strongly_regular_hg(H) == rep.is_strongly_regular_hg, H.rows
+            assert (core.unique_inverses(H) is not None) == rep.is_strongly_regular_hg

@@ -63,12 +63,10 @@ class TestSubhypergroups:
         assert sets == [T.carrier()]
 
     def test_flags_agree_with_predicates(self, h9):
-        from hyperkernel.core import is_closed, is_conjugable, is_normal
-
         for entry in subhypergroups(h9).all:
-            assert entry.closed == is_closed(h9, entry.members)
-            assert entry.normal == is_normal(h9, entry.members)
-            assert entry.conjugable == is_conjugable(h9, entry.members)
+            assert entry.closed == oracles.is_closed(h9, entry.members)
+            assert entry.normal == oracles.is_normal(h9, entry.members)
+            assert entry.conjugable == oracles.is_conjugable(h9, entry.members)
 
     def test_budget(self):
         # The budget counts product-closed sets visited: every one of the

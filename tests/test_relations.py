@@ -1,3 +1,4 @@
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,6 +190,21 @@ class TestKernel:
         with pytest.raises(errors.NotStronglyRegular):
             kernel_S(h9, sigma)
 
+    def test_error_messages(self, h9):
+        # regular but not strongly regular, not regular, and strongly
+        # regular with a quotient that is not a group
+        message = "kernel needs a strongly regular relation"
+        regular = congruence_mod(h9, h9.subset(["e", "a"]))
+        assert is_regular(h9, regular)
+        irregular = Partition.from_classes(9, [[0, 4], *([i] for i in range(1, 9) if i != 4)])
+        assert not is_regular(h9, irregular)
+        for R in (regular, irregular):
+            with pytest.raises(errors.NotStronglyRegular, match=f"^{message}$"):
+                kernel_S(h9, R)
+        semigroup = HyperTable(["a", "b"], [[0b01, 0b01], [0b01, 0b10]])
+        with pytest.raises(errors.NotStronglyRegular, match="^quotient is not a group$"):
+            kernel_S(semigroup, Partition.discrete(2))
+
 
 class TestCongruenceMod:
     def test_h9_mod_ea(self, h9):
@@ -311,6 +327,24 @@ class TestEnumerateSR:
         H = HyperTable(["a", "b"], [[0b01, 0b01], [0b01, 0b10]])
         with pytest.raises(errors.NotAHypergroup):
             enumerate_strongly_regular(H)
+
+    @pytest.mark.parametrize("name", sorted(corpus.corpus()))
+    def test_recheck_on_fundamental_group_matches_pullback(self, name):
+        # The enumeration re-checks each congruence sigma on G = H/beta:
+        # sigma is strongly regular on G exactly when its pullback is on H.
+        H = corpus.corpus()[name]
+        b = beta(H)
+        G = quotient_by(H, b).table
+        assert G.n <= 6
+        outcomes = set()
+        for class_of in oracles.all_class_assignments(G.n):
+            sigma = Partition(G.n, class_of)
+            on_g = is_strongly_regular(G, sigma)
+            assert on_g == is_strongly_regular(H, pullback(sigma, b)), class_of
+            outcomes.add(on_g)
+        assert True in outcomes
+        if name in ("s3", "h9"):
+            assert False in outcomes
 
 
 class TestStructuralInvariants:
