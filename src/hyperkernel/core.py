@@ -675,22 +675,16 @@ def total_hypergroup(n: int, names: Sequence[str] | None = None,
 
 
 def direct_product(H1: HyperTable, H2: HyperTable, name: str | None = None) -> HyperTable:
-    """Componentwise product on pairs, row-major pairing (i1*n2 + i2)."""
-    n1, n2 = H1.n, H2.n
+    """Componentwise product on pairs, row-major pairing (i1*n2 + i2): the
+    sum of 2**(c1*n2) over c1 in m1, times m2 < 2**n2, is m1 x m2."""
+    n2 = H2.n
+    spread = {m: sum(1 << c * n2 for c in bits(m)) for row in H1.rows for m in row}
+    rows = [
+        [s * m2 for s in map(spread.__getitem__, row1) for m2 in row2]
+        for row1 in H1.rows
+        for row2 in H2.rows
+    ]
     names = [f"{a}.{b}" for a in H1.names for b in H2.names]
-    rows = []
-    for a1 in range(n1):
-        for a2 in range(n2):
-            row = []
-            for b1 in range(n1):
-                for b2 in range(n2):
-                    m = 0
-                    for c1 in bits(H1.rows[a1][b1]):
-                        base = c1 * n2
-                        for c2 in bits(H2.rows[a2][b2]):
-                            m |= 1 << (base + c2)
-                    row.append(m)
-            rows.append(row)
     return HyperTable(names, rows, name)
 
 

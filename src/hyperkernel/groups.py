@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from hyperkernel import errors
+from hyperkernel import errors, kernels
 from hyperkernel.core import ElementSet, Partition, bits, mask_of
 
 
@@ -21,38 +21,28 @@ class GroupTable:
 
     def __init__(self, names: Sequence[str], rows: Sequence[Sequence[int]]):
         self.names = tuple(names)
-        self.rows = tuple(tuple(r) for r in rows)
-        n = len(self.rows)
-        if n == 0 or any(len(r) != n for r in self.rows) or len(self.names) != n:
+        rows = self.rows = tuple(tuple(r) for r in rows)
+        n = len(rows)
+        if n == 0 or any(len(r) != n for r in rows) or len(self.names) != n:
             raise errors.InvalidGroupTable("table is not square")
-        if any(not (0 <= v < n) for r in self.rows for v in r):
+        if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
             raise errors.InvalidGroupTable("entry out of range")
-        for a in range(n):
-            for b in range(n):
-                ab = self.rows[a][b]
-                for c in range(n):
-                    if self.rows[ab][c] != self.rows[a][self.rows[b][c]]:
-                        raise errors.NotAssociative(f"witness {(a, b, c)}")
-        ident = None
-        for e in range(n):
-            if all(self.rows[e][x] == x and self.rows[x][e] == x for x in range(n)):
-                ident = e
-                break
+        bit = [1 << v for v in range(n)]
+        packed = kernels.assoc_witness(tuple(tuple(map(bit.__getitem__, r)) for r in rows), n)
+        if packed >= 0:
+            a, bc = divmod(packed, n * n)
+            raise errors.NotAssociative(f"witness {(a, *divmod(bc, n))}")
+        order, columns = tuple(range(n)), list(zip(*rows))
+        ident = next((e for e in range(n) if rows[e] == order == columns[e]), None)
         if ident is None:
             raise errors.NoIdentity("no two-sided identity")
+        # in a finite monoid a*b = e forces b*a = e (x -> b*x is one-to-one,
+        # so b*c = e for some c, and c = a*b*c = a), so row a names a's inverse
         inverse = []
-        for a in range(n):
-            inv = next(
-                (
-                    b
-                    for b in range(n)
-                    if self.rows[a][b] == ident and self.rows[b][a] == ident
-                ),
-                None,
-            )
-            if inv is None:
+        for a, row in enumerate(rows):
+            if ident not in row:
                 raise errors.NoInverse(f"witness {a}")
-            inverse.append(inv)
+            inverse.append(row.index(ident))
         self.n = n
         self.identity = ident
         self.inverse = tuple(inverse)

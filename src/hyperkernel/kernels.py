@@ -4,12 +4,14 @@ Every function takes the table as a nested sequence of bitmasks (rows[a][b]
 is the cell a*b) and speaks plain ints and lists.  The module imports
 nothing from the package, so core and relations can build on it.
 
-The two scans that multiply sets by the table, assoc_witness and
-oracle_merge, multiply each distinct set once (_Products) and then only
-compare or merge the lists it returns, with the per-element work left
-to C: assoc_witness gathers each row with an itemgetter over the
-interned cells and compares tuples, and oracle_merge ORs whole lists of
-blocks, one length at a time, from the blocks one letter shorter.
+The scans multiply each distinct set by the table once (_Products) and
+then only compare or merge the lists it returns, with the per-element
+work left to C.  assoc_witness gathers each row with an itemgetter over
+the interned cells and compares tuples.  congruence_closure merges the
+products of whole classes, round by round.  oracle_merge ORs whole
+lists of blocks, one length at a time, from the blocks one letter
+shorter; at its last length it merges the products of those blocks and
+links them by comparing matrices of roots with their transposes.
 """
 
 from operator import itemgetter, or_
@@ -63,10 +65,21 @@ class _Products(dict):
         m ^= low
         while m:
             low = m & -m
-            line = [x | y for x, y in zip(line, rows[low.bit_length() - 1])]
+            line = list(map(or_, line, rows[low.bit_length() - 1]))
             m ^= low
         self[s] = line
         return line
+
+
+def _merge(uf, masks):
+    """Merge the members of each mask into one class."""
+    for m in masks:
+        anchor = (m & -m).bit_length() - 1
+        m &= m - 1
+        while m:
+            low = m & -m
+            uf.union(anchor, low.bit_length() - 1)
+            m ^= low
 
 
 def assoc_witness(rows, n):
@@ -110,43 +123,28 @@ def assoc_witness(rows, n):
 def congruence_closure(rows, n):
     """Union-find roots of the smallest strongly regular relation.
 
-    Congruence closure (Downey, Sethi and Tarjan, 1980): first the
-    members of every cell are merged; then, for each new parent link
-    (a, b), the least elements of a*z and b*z, and of z*a and z*b, are
-    merged for every z.  Each cell lies inside one class, so merging its
-    least element merges all of it.  At most n - 1 links form, so this
-    is O(n^2) union steps.  The root of each element is the least member
-    of its class.
+    An equivalence is strongly regular exactly when, for every class C
+    and every z, the sets C*z and z*C each lie inside one class: for x,
+    x' in C and y, y' in D, x*y and x'*y lie in C*y, x'*y and x'*y' in
+    x'*D, and the nonempty x'*y joins the two.  So, from the singleton
+    classes (whose sets are the cells), merge each distinct set not yet
+    merged, then collect C*z and z*C for every class C (one _Products
+    list each, over the rows and over the columns), until all are
+    merged.  Each merge is forced in every strongly regular relation
+    holding the classes so far, so the fixpoint is the least one.  The
+    root of each element is the least member of its class.
     """
     uf = UnionFind(n)
-    parent = uf.parent
-    find = uf.find
-    links = []
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            links.append((ra, rb))
-
-    for row in rows:
-        for cell in row:
-            anchor = (cell & -cell).bit_length() - 1
-            cell &= cell - 1
-            while cell:
-                low = cell & -cell
-                union(anchor, low.bit_length() - 1)
-                cell ^= low
-    least = [[(cell & -cell).bit_length() - 1 for cell in row] for row in rows]
-    while links:
-        a, b = links.pop()
-        la, lb = least[a], least[b]
-        for z in range(n):
-            union(la[z], lb[z])
-            lz = least[z]
-            union(lz[a], lz[b])
+    right, left = _Products(rows), _Products(list(zip(*rows)))
+    merged = set()
+    new = {cell for row in rows for cell in row}
+    while new:
+        _merge(uf, new)
+        merged |= new
+        classes = {}
+        for i, r in enumerate(uf.roots()):
+            classes[r] = classes.get(r, 0) | 1 << i
+        new = {s for c in classes.values() for s in right[c] + left[c]} - merged
     return uf.roots()
 
 
@@ -230,60 +228,73 @@ def sr_check(rows, n, class_of):
     return all(v & (v - 1) == 0 for line in met for v in line) and regular(met, class_of)
 
 
-def oracle_merge(rows, n, nmax):
-    """Union-find roots after relating all permuted-product overlaps.
+def _block_layers(n, products):
+    """Yield (line, blocks) for the multisets of length k = 1, 2, ...
 
-    For every multiset of length <= nmax, every element of the products
-    of all its orderings is merged into one block.  Set products
-    distribute over unions and every ordering ends in one of the
-    multiset's letters, so block(M) is the union, over the distinct
-    letters t of M, of block(M - t)*t.  The blocks are built one length
-    at a time and only the last length is kept, as a dict from each
-    sorted prefix q to the blocks of q + (t,) for every t >= q[-1].  For
-    all those t at once, block(q + (t,)) is block(q)*t joined with
-    block((q - u) + (t,))*u for each distinct letter u of q: one map of
-    operator.or_ per (q, u), reading block*u from a dict per letter u
-    over the distinct blocks of the layer.  Each distinct block is
-    merged once.  Returns the root of each element, the least member of
-    its block.
+    block(M) is the union of the products of all orderings of M;
+    line[p][t] is block(p + (t,)) for every sorted p of length k - 1 and
+    every t, and blocks lists the distinct blocks of length k.  Products
+    distribute over unions and every ordering ends in one of its letters,
+    so block(q + (t,)) is block(q)*t joined with block((q - u) + (t,))*u
+    for each distinct letter u of q: for all t at once, one map of or_
+    per (q, u) over line[q - u], reading block*u from a dict per u.
     """
-    uf = UnionFind(n)
-    products = _Products(rows)
-    merged = set()
-    # layer[p][t - p[-1]] is block(p + (t,)); the empty prefix starts at 0
-    layer = {(): [1 << t for t in range(n)]}
-    for k in range(2, nmax + 1):
-        blocks = list({block for line in layer.values() for block in line})
-        # times[u][block] is block*u, for the blocks of this layer
-        times = [
-            dict(zip(blocks, column))
-            for column in zip(*map(products.__getitem__, blocks))
-        ]
-        found = set()
+    line = {(): [1 << t for t in range(n)]}
+    while True:
+        blocks = list({block for row in line.values() for block in row})
+        yield line, blocks
+        # times[u][block] is block*u, for the blocks of this length
+        times = [dict(zip(blocks, col)) for col in zip(*map(products.__getitem__, blocks))]
         nxt = {}
-        for p, line in layer.items():
-            first = p[-1] if p else 0
-            for last, block in enumerate(line, first):
+        for p, row in line.items():
+            for last in range(p[-1] if p else 0, n):
                 q = p + (last,)
-                new = products[block][last:]
+                new = products[row[last]]
                 u = -1
                 for i, letter in enumerate(q):
-                    if letter == u:
-                        continue
-                    u = letter
-                    r = q[:i] + q[i + 1 :]
-                    src = layer[r][last - r[-1] if r else last :]
-                    new = list(map(or_, new, map(times[u].__getitem__, src)))
-                found.update(new)
-                if k < nmax:
-                    nxt[q] = new
-        layer = nxt
-        for block in found - merged:
-            anchor = (block & -block).bit_length() - 1
-            block &= block - 1
-            while block:
-                low = block & -block
-                uf.union(anchor, low.bit_length() - 1)
-                block ^= low
-        merged |= found
+                    if letter != u:
+                        u = letter
+                        src = line[q[:i] + q[i + 1 :]]
+                        new = list(map(or_, new, map(times[u].__getitem__, src)))
+                nxt[q] = new
+        line = nxt
+
+
+def oracle_merge(rows, n, nmax):
+    """Union-find roots after merging block(M) for every multiset M of
+    length <= nmax (see _block_layers), the least member of each class.
+
+    The blocks of lengths below k = nmax are merged as _block_layers
+    yields them.  Length k builds none.  (1) Every ordering of M ends in
+    some letter t, so block(M) is the union of its pieces block(M - t)*t,
+    nonempty as cells are.  (2) Merging a union of nonempty sets is
+    merging each set and linking the sets; the pieces are exactly X*t
+    for every distinct block X of length k - 1 and every t, so each
+    distinct X*t is merged once.  (3) Then two pieces of M that end in
+    t != t' are block(P + t')*t and block(P + t)*t' with P = M - t - t',
+    so the links are one condition per multiset P of length k - 2: the
+    matrix F[c][d] = root(block(P + c)*d) equals its transpose up to the
+    relation.  Its rows are shared per-block root tuples, zip(*F) is the
+    transpose, and only unequal rows give pairs to union.  At nmax 2, P
+    is empty and the links are c*d ~ d*c.
+    """
+    if nmax < 2:
+        return list(range(n))
+    uf = UnionFind(n)
+    products = _Products(rows)
+    for _, (line, blocks) in zip(range(1, nmax), _block_layers(n, products)):
+        _merge(uf, blocks)
+    pieces = {piece for block in blocks for piece in products[block]}
+    _merge(uf, pieces)
+    roots = uf.roots()
+    root_of = {piece: roots[(piece & -piece).bit_length() - 1] for piece in pieces}
+    root_row = {block: tuple(map(root_of.__getitem__, products[block])) for block in blocks}
+    links = set()
+    for row in line.values():
+        F = list(map(root_row.__getitem__, row))
+        for by_row, by_col in zip(F, zip(*F)):
+            if by_row != by_col:
+                links.update(zip(by_row, by_col))
+    for a, b in links:
+        uf.union(a, b)
     return uf.roots()

@@ -33,7 +33,8 @@ DEFAULT_ORACLE_BUDGET = 10_000_000
 
 @per_table
 def beta(H: HyperTable) -> Partition:
-    """Smallest strongly regular relation, by congruence closure.
+    """Smallest strongly regular relation, by congruence closure over
+    class products: every C*z and z*C is merged until none is new.
 
     On a semihypergroup this is beta*, the transitive closure of the
     common-product relation (Koskas 1970; Freni 1991 showed beta = beta*
@@ -73,7 +74,9 @@ def gamma_oracle(
     Independent of gamma()'s closure/quotient route by construction.
 
     The budget counts ordered tuples, sum(n**k for k <= nmax), although
-    the kernel visits only the multisets, each once.
+    the kernel builds blocks only for the multisets shorter than nmax,
+    and at nmax merges their products by each letter and compares one
+    root matrix per multiset of length nmax - 2 with its transpose.
     """
     if nmax < 1:
         raise errors.HyperError(f"nmax must be at least 1, got {nmax}")

@@ -23,10 +23,13 @@ The library checks the quotient identities through the canonical map
 each one names; the backtracking isomorphism search here is the
 independent route that asks only whether some isomorphism exists.
 
-The library scans associativity over interned cells and builds the
-permuted-product blocks of gamma_oracle length by length; assoc_witness
-and oracle_merge here are the direct routes: a bit loop over every
-triple, and a product of every distinct ordering of every multiset.
+The library scans associativity over interned cells (group tables
+too, on their singleton cells), builds the permuted-product blocks of
+gamma_oracle length by length and multiplies direct-product cells by
+spreading the first factor's masks; assoc_witness, group_table_error,
+blocks, oracle_merge and direct_product here are the direct routes: a
+loop over every triple, a product of every distinct ordering of every
+multiset, and one bit per pair of members.
 
 The library counts the letterwise images of the base words of a free
 product per distinct state, and sums the direct-sum images of the
@@ -37,7 +40,7 @@ Test use only.
 """
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 from hyperkernel import errors, freeprod, kernels, relations
 from hyperkernel.core import (
@@ -92,6 +95,27 @@ def assoc_witness(rows, n):
     return -1
 
 
+def blocks(rows, n, k):
+    """The distinct blocks of length k: for each multiset of k letters,
+    the union of the products of every distinct ordering of it."""
+    out = set()
+    for combo in combinations_with_replacement(range(n), k):
+        block = 0
+        for tup in set(permutations(combo)):
+            mask = 1 << tup[0]
+            for t in tup[1:]:
+                nxt = 0
+                m = mask
+                while m:
+                    low = m & -m
+                    nxt |= rows[low.bit_length() - 1][t]
+                    m ^= low
+                mask = nxt
+            block |= mask
+        out.add(block)
+    return out
+
+
 def oracle_merge(rows, n, nmax):
     """Union-find roots after relating all permuted-product overlaps.
 
@@ -102,26 +126,52 @@ def oracle_merge(rows, n, nmax):
     """
     uf = kernels.UnionFind(n)
     for k in range(1, nmax + 1):
-        for combo in combinations_with_replacement(range(n), k):
-            block = 0
-            for tup in set(permutations(combo)):
-                mask = 1 << tup[0]
-                for t in tup[1:]:
-                    nxt = 0
-                    m = mask
-                    while m:
-                        low = m & -m
-                        nxt |= rows[low.bit_length() - 1][t]
-                        m ^= low
-                    mask = nxt
-                block |= mask
-            anchor = (block & -block).bit_length() - 1
-            block &= block - 1
-            while block:
-                low = block & -block
-                uf.union(anchor, low.bit_length() - 1)
-                block ^= low
+        for block in blocks(rows, n, k):
+            members = list(bits(block))
+            for m in members[1:]:
+                uf.union(members[0], m)
     return uf.roots()
+
+
+def group_table_error(rows):
+    """The (error type, message) that a single-valued table fails group
+    validation with, or None: the least non-associative triple, then the
+    identity, then the least element with no two-sided inverse, each by
+    a direct loop."""
+    n = len(rows)
+    for a, b, c in product(range(n), repeat=3):
+        if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+            return errors.NotAssociative, f"witness {(a, b, c)}"
+    ident = next(
+        (e for e in range(n) if all(rows[e][x] == x and rows[x][e] == x for x in range(n))), None
+    )
+    if ident is None:
+        return errors.NoIdentity, "no two-sided identity"
+    for a in range(n):
+        if not any(rows[a][b] == ident and rows[b][a] == ident for b in range(n)):
+            return errors.NoInverse, f"witness {a}"
+    return None
+
+
+def direct_product(H1: HyperTable, H2: HyperTable, name: str | None = None) -> HyperTable:
+    """Componentwise product on pairs, row-major pairing (i1*n2 + i2),
+    one bit per pair of members."""
+    n1, n2 = H1.n, H2.n
+    names = [f"{a}.{b}" for a in H1.names for b in H2.names]
+    rows = []
+    for a1 in range(n1):
+        for a2 in range(n2):
+            row = []
+            for b1 in range(n1):
+                for b2 in range(n2):
+                    m = 0
+                    for c1 in bits(H1.rows[a1][b1]):
+                        base = c1 * n2
+                        for c2 in bits(H2.rows[a2][b2]):
+                            m |= 1 << (base + c2)
+                    row.append(m)
+            rows.append(row)
+    return HyperTable(names, rows, name)
 
 
 def all_class_assignments(n: int):

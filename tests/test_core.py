@@ -280,6 +280,29 @@ class TestConstructions:
         expected = {c1 * 2 + c2 for c1 in (0, 1) for c2 in (1,)}
         assert set(P.cell(a, b)) == expected
 
+    def test_direct_product_matches_the_bit_loop(self):
+        # the ladder rungs, then random factors whose product is wider than
+        # 64 bits, so a cell spreads past one machine word
+        import random
+
+        import oracles
+
+        fixtures = corpus.fixtures()
+        pairs = [(fixtures["h9"], fixtures[s]) for s in ("z2", "z3", "v4", "s3", "h9")]
+        rng = random.Random(4)
+        while len(pairs) < 25:
+            n1, n2 = rng.randint(5, 12), rng.randint(5, 12)
+            if n1 * n2 > 64:
+                pairs.append(tuple(
+                    HyperTable([str(i) for i in range(n)],
+                               [[rng.randrange(1, 1 << n) for _ in range(n)] for _ in range(n)])
+                    for n in (n1, n2)
+                ))
+        for H1, H2 in pairs:
+            P = direct_product(H1, H2, name="p")
+            Q = oracles.direct_product(H1, H2, name="p")
+            assert (P, P.name) == (Q, Q.name)
+
     def test_structure_report_consistency(self, full_corpus):
         for H in full_corpus.values():
             rep = core.structure_report(H)

@@ -49,6 +49,59 @@ class TestValidation:
         with pytest.raises(errors.NotAssociative, match=r"witness \(0, 0, 1\)"):
             validate_group(rows)
 
+    def test_errors_match_the_direct_loops(self):
+        # random tables, relabelled groups with one cell changed, and
+        # relabelled semigroups: left zero, null, max, a group with a zero
+        import random
+
+        from oracles import group_table_error
+
+        rng = random.Random(6)
+        groups = [Z4, V4, s3().rows, [[(i + j) % 6 for j in range(6)] for i in range(6)]]
+        seen = set()
+        for i in range(600):
+            kind = i % 3
+            n = rng.randint(1, 6)
+            if kind == 0:
+                rows = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            else:
+                G = rng.choice(groups)
+                semigroups = [
+                    [[a] * n for a in range(n)],
+                    [[0] * n for _ in range(n)],
+                    [[max(a, b) for b in range(n)] for a in range(n)],
+                    [[0] * (len(G) + 1)] + [[0] + [c + 1 for c in r] for r in G],
+                ]
+                table = G if kind == 1 else rng.choice(semigroups)
+                n = len(table)
+                perm = rng.sample(range(n), n)
+                rows = [[0] * n for _ in range(n)]
+                for a, b in itertools.product(range(n), repeat=2):
+                    rows[perm[a]][perm[b]] = perm[table[a][b]]
+                if kind == 1:
+                    rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            expected = group_table_error(rows)
+            if expected is None:
+                G = validate_group(rows)
+                assert G.inverse == tuple(
+                    next(b for b in range(n) if rows[a][b] == G.identity == rows[b][a])
+                    for a in range(n)
+                )
+                seen.add("group")
+                continue
+            with pytest.raises(expected[0]) as info:
+                validate_group(rows)
+            assert type(info.value) is expected[0] and str(info.value) == expected[1]
+            seen.add((expected[0], expected[1][:10]))
+        assert {
+            "group",
+            (errors.NotAssociative, "witness (0"),
+            (errors.NotAssociative, "witness (1"),
+            (errors.NoIdentity, "no two-sid"),
+            (errors.NoInverse, "witness 0"),
+            (errors.NoInverse, "witness 3"),
+        } <= seen
+
     def test_monoid_without_inverse(self):
         # {0, 1} under max: associative, identity 0, and 1 has no inverse
         with pytest.raises(errors.NoInverse, match="witness 1"):

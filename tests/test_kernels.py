@@ -3,6 +3,7 @@ carriers wider than 64 and 128 bits."""
 
 import random
 
+import generators
 import oracles
 from hyperkernel import corpus, kernels
 from hyperkernel.core import (
@@ -107,6 +108,43 @@ def test_kernels_match_their_oracles_on_random_tables():
                 assert kernels.oracle_merge(rows, n, nmax) == oracles.oracle_merge(rows, n, nmax), rows
     # witnesses in several rows, so the scan goes past a failing first row
     assert {0, 1, 2} <= witnessed_rows
+
+
+def test_oracle_merge_links_the_pieces_of_a_block():
+    # every piece block(M - t)*t here is one element, so at nmax 3 only
+    # the links between the pieces of a block merge anything
+    rows = ((4, 2, 2), (2, 4, 2), (2, 2, 1))
+    assert kernels.oracle_merge(rows, 3, 2) == oracles.oracle_merge(rows, 3, 2) == [0, 1, 2]
+    assert kernels.oracle_merge(rows, 3, 3) == oracles.oracle_merge(rows, 3, 3) == [0, 0, 0]
+
+
+def test_block_layers_match_the_direct_blocks():
+    # the roots cannot show a wrong block of length >= 4 (the length-3
+    # overlaps already merge it), so the blocks themselves are compared;
+    # cells are single-valued, widened with some probability
+    rng = random.Random(9)
+    for _ in range(400):
+        n = rng.randrange(1, 6)
+        p = rng.choice([0.0, 0.2, 0.5])
+        rows = tuple(
+            tuple((1 << rng.randrange(n)) | (rng.randrange(1 << n) if rng.random() < p else 0)
+                  for _ in range(n))
+            for _ in range(n)
+        )
+        layers = kernels._block_layers(n, kernels._Products(rows))
+        for k, (_, blocks) in zip(range(1, 6 if n <= 3 else 5), layers):
+            assert len(blocks) == len(set(blocks))
+            assert set(blocks) == oracles.blocks(rows, n, k), (rows, k)
+
+
+def test_oracle_merge_matches_its_oracle_on_hypergroups_and_their_products():
+    fixtures = corpus.fixtures()
+    found = generators.random_hypergroups(11, 20, 4000)
+    tables = found + [direct_product(H, fixtures[s]) for H in found for s in ("z2", "s3")]
+    assert max(H.n for H in tables) == 24
+    for H in tables:
+        for nmax in (1, 2, 3, 4) if H.n <= 12 else (2, 3):
+            assert kernels.oracle_merge(H.rows, H.n, nmax) == oracles.oracle_merge(H.rows, H.n, nmax)
 
 
 def test_kernels_match_their_oracles_on_permuted_ladder_rungs():
