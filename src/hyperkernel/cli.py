@@ -67,7 +67,7 @@ def _quotient_doc(q: relations.QuotientStructure) -> dict:
         "elements": list(q.table.names),
         "table": table_doc(q.table)["table"],
         "is_group": q.is_group,
-        "is_abelian_group": bool(q.is_group and q.group.is_abelian()),
+        "is_abelian_group": q.is_group and core.is_commutative(q.table),
     }
 
 

@@ -660,7 +660,9 @@ def from_group(table: Sequence[Sequence[int]], names: Sequence[str] | None = Non
     from hyperkernel.groups import validate_group
 
     G = validate_group(table, names)
-    return HyperTable(G.names, [[1 << v for v in r] for r in G.rows], name)
+    # G is new and unshared, and its name takes no part in equality.
+    G.name = name
+    return G
 
 
 def total_hypergroup(n: int, names: Sequence[str] | None = None,

@@ -84,13 +84,6 @@ def symmetric_group_3() -> HyperTable:
     return from_group(rows, names=names, name="s3")
 
 
-def v4_group_table():
-    """The Klein four group as a plain GroupTable."""
-    from hyperkernel.groups import validate_group
-
-    return validate_group(_V4_ROWS, names=["e", "a", "b", "c"])
-
-
 def pair_hypergroup(n: int, name: str | None = None) -> HyperTable:
     """x*y = {x, y}: every nonempty subset is a subhypergroup, none of
     the proper ones closed."""

@@ -22,6 +22,10 @@ by each distinct class letter once.  Its commutative side is counted by
 states too: psi . phi is a homomorphism into the direct sum, so
 `psi_supports` adds letter images over (last factor, direct-sum
 element) states instead of mapping each quotient word.
+
+The direct sum of the abelianized factors (`DirectSumFamily`) lives
+here, next to `psi`, its only user: the abelianization of a group G is
+the quotient G/gamma(G) of the `relations` layer.
 """
 
 from __future__ import annotations
@@ -35,19 +39,13 @@ from hyperkernel.core import (
     HyperTable,
     _require_hypergroup,
     bits,
-    from_group,
     hyperproduct,
     identities,
     is_polygroup,
+    scalar_identity,
     unique_inverses,
 )
-from hyperkernel.groups import (
-    DirectSumElement,
-    DirectSumFamily,
-    GroupTable,
-    direct_sum_add,
-    isomorphic,
-)
+from hyperkernel.groups import inverses, isomorphic, products
 from hyperkernel.quotients import quotient_hypergroup
 from hyperkernel.relations import (
     Partition,
@@ -104,15 +102,15 @@ class FactorRegistry:
         self.factors = tuple(factors)
         if not self.factors:
             raise errors.ShapeMismatch("registry needs at least one factor")
-        inverses = []
+        inverse_maps = []
         betas: list[Partition] = []
-        fundamental: list[GroupTable] = []
+        fundamental: list[HyperTable] = []
         for i, H in enumerate(self.factors):
             _require_hypergroup(H)
             # Without identities every C(x) is empty, so unique inverses
             # alone decide strong regularity.
-            inverses.append(unique_inverses(H))
-            if inverses[-1] is None:
+            inverse_maps.append(unique_inverses(H))
+            if inverse_maps[-1] is None:
                 raise errors.NotStronglyRegular(
                     f"factor {i} is not a strongly regular hypergroup"
                 )
@@ -121,14 +119,14 @@ class FactorRegistry:
             q = quotient_by(H, b)
             if not q.is_group:
                 raise errors.NotStronglyRegular(f"factor {i} has no fundamental group")
-            fundamental.append(q.group)
+            fundamental.append(q.table)
         # Strong regularity makes both unique: two identities would each
         # lie in the other's inverse set C(x).
         self.identities = tuple(identities(H).indices()[0] for H in self.factors)
-        self.inverses = tuple(inverses)
+        self.inverses = tuple(inverse_maps)
         self.betas = tuple(betas)
         self.kernels = tuple(
-            betas[i].classes[fundamental[i].identity] for i in range(len(self.factors))
+            b.classes[scalar_identity(G)] for b, G in zip(betas, fundamental)
         )
         self.fundamental_groups = tuple(fundamental)
         self._fundamental_registry: "FactorRegistry | None" = None
@@ -144,19 +142,106 @@ class FactorRegistry:
         return Letter(l.factor, self.inverses[l.factor][l.elem])
 
     def fundamental_registry(self) -> "FactorRegistry":
-        """Registry of the fundamental groups, lifted back to tables."""
+        """Registry of the fundamental groups."""
         if self._fundamental_registry is None:
-            lifts = [
-                from_group(G.rows, names=G.names, name=None)
-                for G in self.fundamental_groups
-            ]
-            self._fundamental_registry = FactorRegistry(lifts)
+            self._fundamental_registry = FactorRegistry(self.fundamental_groups)
         return self._fundamental_registry
 
     def direct_sum_family(self) -> DirectSumFamily:
         if self._direct_sum_family is None:
             self._direct_sum_family = DirectSumFamily(self.fundamental_groups)
         return self._direct_sum_family
+
+
+class DirectSumFamily:
+    """Indexed family of groups with their abelianization data.
+
+    The abelianization of a group G is G/gamma(G), and the projection
+    onto it is gamma(G).  Supports finitely supported sums over the
+    abelianized factors; the stored component of a factor is an element
+    index of that factor's abelianization, never its identity.
+    """
+
+    __slots__ = ("groups", "abelianizations", "projections", "identities")
+
+    def __init__(self, groups: Sequence[HyperTable]):
+        self.groups = tuple(groups)
+        gammas = [gamma(G) for G in self.groups]
+        self.abelianizations = tuple(
+            quotient_by(G, g).table for G, g in zip(self.groups, gammas)
+        )
+        self.projections = tuple(g.class_of for g in gammas)
+        self.identities = tuple(scalar_identity(A) for A in self.abelianizations)
+
+    def zero(self) -> "DirectSumElement":
+        return DirectSumElement(self, ())
+
+    def inject(self, factor: int, elem: int) -> "DirectSumElement":
+        """Image of one factor element under projection into the sum."""
+        if not 0 <= factor < len(self.groups):
+            raise errors.FamilyMismatch(f"no factor {factor}")
+        if not 0 <= elem < self.groups[factor].n:
+            raise errors.FamilyMismatch(f"element {elem} outside factor {factor}")
+        cls = self.projections[factor][elem]
+        if cls == self.identities[factor]:
+            return self.zero()
+        return DirectSumElement(self, ((factor, cls),))
+
+
+class DirectSumElement:
+    """Finitely supported element of the direct sum of abelianizations."""
+
+    __slots__ = ("family", "support")
+
+    def __init__(self, family: DirectSumFamily, support: Iterable[tuple[int, int]]):
+        self.family = family
+        self.support = tuple(sorted(support))
+
+    def is_zero(self) -> bool:
+        return not self.support
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, DirectSumElement)
+            and self.family is other.family
+            and self.support == other.support
+        )
+
+    def __hash__(self) -> int:
+        return hash((id(self.family), self.support))
+
+    def __repr__(self) -> str:
+        if not self.support:
+            return "DirectSumElement(0)"
+        parts = ", ".join(
+            f"{i}->{self.family.abelianizations[i].names[c]}" for i, c in self.support
+        )
+        return f"DirectSumElement({parts})"
+
+    def __neg__(self) -> "DirectSumElement":
+        abelians = self.family.abelianizations
+        return DirectSumElement(
+            self.family, [(i, inverses(abelians[i])[c]) for i, c in self.support]
+        )
+
+
+def direct_sum_add(
+    family: DirectSumFamily, a: DirectSumElement, b: DirectSumElement
+) -> DirectSumElement:
+    """Componentwise sum; identity components drop out of the support."""
+    if a.family is not family or b.family is not family:
+        raise errors.FamilyMismatch("operands belong to a different family")
+    acc = dict(a.support)
+    for i, c in b.support:
+        if i in acc:
+            v = products(family.abelianizations[i])[acc[i]][c]
+            if v == family.identities[i]:
+                del acc[i]
+            else:
+                acc[i] = v
+        else:
+            acc[i] = c
+    return DirectSumElement(family, acc.items())
 
 
 def make_word(registry: FactorRegistry, letters: Iterable[Letter]) -> ReducedWord:
@@ -428,9 +513,9 @@ def psi_supports(
     not grown again, since all it reaches was reached from there.
     """
     family = registry.direct_sum_family()
-    zero = tuple(A.identity for A in family.abelianizations)
+    zero = family.identities
     steps = [
-        (A.rows, {proj[b.class_of[x]] for x in range(H.n) if x != e})
+        (products(A), {proj[b.class_of[x]] for x in range(H.n) if x != e})
         for H, b, e, proj, A in zip(
             registry.factors, registry.betas, registry.identities,
             family.projections, family.abelianizations,

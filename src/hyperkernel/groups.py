@@ -1,191 +1,98 @@
-"""Finite group arithmetic on Cayley tables.
+"""Finite groups as hypergroups whose cells are all singletons.
 
-Covers what the quotient side of the library needs: validation,
-subgroup closure, commutator subgroups, abelianization, cosets and
-quotient groups, the isomorphism check of a canonical map, and finitely
-supported direct sums of abelianized factors.
+A hypergroup with singleton cells is exactly a group (Corsini 1993), so a
+group here is a HyperTable and every group operation runs on the
+hypergroup code: cosets are `relations.congruence_mod`, quotients and the
+abelianization are `relations.quotient_by` (G/gamma(G) for the latter),
+products are `core.direct_product`, commutativity is
+`core.is_commutative`, and the subgroup generated by a set is its
+`core.product_closure`.  This module keeps the validator of integer
+tables, the commutator subgroup, the isomorphism check of a canonical
+map, and two per-table views of a group: integer products and inverses.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from hyperkernel import errors, kernels
-from hyperkernel.core import ElementSet, Partition, bits, mask_of
-
-
-class GroupTable:
-    """Validated single-valued Cayley table with identity and inverses."""
-
-    __slots__ = ("n", "names", "rows", "identity", "inverse", "_index")
-
-    def __init__(self, names: Sequence[str], rows: Sequence[Sequence[int]]):
-        self.names = tuple(names)
-        rows = self.rows = tuple(tuple(r) for r in rows)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows) or len(self.names) != n:
-            raise errors.InvalidGroupTable("table is not square")
-        if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
-            raise errors.InvalidGroupTable("entry out of range")
-        bit = [1 << v for v in range(n)]
-        packed = kernels.assoc_witness(tuple(tuple(map(bit.__getitem__, r)) for r in rows), n)
-        if packed >= 0:
-            a, bc = divmod(packed, n * n)
-            raise errors.NotAssociative(f"witness {(a, *divmod(bc, n))}")
-        order, columns = tuple(range(n)), list(zip(*rows))
-        ident = next((e for e in range(n) if rows[e] == order == columns[e]), None)
-        if ident is None:
-            raise errors.NoIdentity("no two-sided identity")
-        # in a finite monoid a*b = e forces b*a = e (x -> b*x is one-to-one,
-        # so b*c = e for some c, and c = a*b*c = a), so row a names a's inverse
-        inverse = []
-        for a, row in enumerate(rows):
-            if ident not in row:
-                raise errors.NoInverse(f"witness {a}")
-            inverse.append(row.index(ident))
-        self.n = n
-        self.identity = ident
-        self.inverse = tuple(inverse)
-        self._index = {lab: i for i, lab in enumerate(self.names)}
-
-    def mul(self, a: int, b: int) -> int:
-        return self.rows[a][b]
-
-    def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise errors.UnknownLabel(f"unknown element {label!r}") from None
-
-    def is_abelian(self) -> bool:
-        return all(
-            self.rows[a][b] == self.rows[b][a]
-            for a in range(self.n)
-            for b in range(a + 1, self.n)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GroupTable)
-            and self.names == other.names
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.names, self.rows))
-
-    def __repr__(self) -> str:
-        return f"GroupTable(order {self.n})"
+from hyperkernel import errors
+from hyperkernel.core import (
+    ElementSet,
+    HyperTable,
+    is_semihypergroup,
+    mask_of,
+    per_table,
+    product_closure,
+    scalar_identity,
+)
 
 
 def validate_group(
     table: Sequence[Sequence[int]], names: Sequence[str] | None = None
-) -> GroupTable:
-    """Build a GroupTable, raising NotAssociative/NoIdentity/NoInverse."""
+) -> HyperTable:
+    """The singleton-cell table of an integer Cayley table.
+
+    Raises InvalidGroupTable for a table that is not square or has an
+    entry out of range, then what `inverses` raises.
+    """
     rows = [list(r) for r in table]
+    n = len(rows)
     if names is None:
-        names = [str(i) for i in range(len(rows))]
-    return GroupTable(names, rows)
+        names = [str(i) for i in range(n)]
+    if n == 0 or any(len(r) != n for r in rows) or len(names) != n:
+        raise errors.InvalidGroupTable("table is not square")
+    if min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
+        raise errors.InvalidGroupTable("entry out of range")
+    G = HyperTable(names, [[1 << v for v in r] for r in rows])
+    inverses(G)
+    return G
 
 
-def subgroup_generated(G: GroupTable, S: ElementSet | Iterable[int]) -> ElementSet:
-    """Smallest subgroup containing S (closure under product and inverse)."""
-    seeds = list(S)
-    members = {G.identity}
-    frontier = [G.identity]
-    for s in seeds:
-        if s not in members:
-            members.add(s)
-            frontier.append(s)
-    while frontier:
-        a = frontier.pop()
-        candidates = [G.inverse[a]]
-        candidates.extend(G.rows[a][b] for b in list(members))
-        candidates.extend(G.rows[b][a] for b in list(members))
-        for c in candidates:
-            if c not in members:
-                members.add(c)
-                frontier.append(c)
-    return ElementSet.from_indices(G.n, members)
+@per_table
+def inverses(G: HyperTable) -> tuple[int, ...]:
+    """inverses(G)[a] is the inverse of a in the singleton-cell table G.
+
+    Checks that G is a group first: raises NotAssociative with the least
+    failing triple, NoIdentity, or NoInverse with the least element whose
+    row misses the identity.
+    """
+    associative, witness = is_semihypergroup(G)
+    if not associative:
+        raise errors.NotAssociative(f"witness {witness}")
+    e = scalar_identity(G)
+    if e is None:
+        raise errors.NoIdentity("no two-sided identity")
+    # in a finite monoid a*b = e forces b*a = e (x -> b*x is one-to-one,
+    # so b*c = e for some c, and c = a*b*c = a), so row a names a's inverse
+    bit = 1 << e
+    out = []
+    for a, row in enumerate(G.rows):
+        if bit not in row:
+            raise errors.NoInverse(f"witness {a}")
+        out.append(row.index(bit))
+    return tuple(out)
 
 
-def commutator_subgroup(G: GroupTable) -> ElementSet:
-    """Subgroup generated by all a*b*a^-1*b^-1."""
-    comms = set()
-    for a in range(G.n):
-        for b in range(G.n):
-            comms.add(G.rows[G.rows[G.rows[a][b]][G.inverse[a]]][G.inverse[b]])
-    return subgroup_generated(G, comms)
+@per_table
+def products(G: HyperTable) -> tuple[tuple[int, ...], ...]:
+    """products(G)[a][b] is the element a*b of the singleton-cell table G."""
+    return tuple(tuple(cell.bit_length() - 1 for cell in row) for row in G.rows)
 
 
-def cosets(G: GroupTable, N: ElementSet) -> Partition:
-    """Partition of G into cosets of the normal subgroup N."""
-    _require_normal_subgroup(G, N)
-    nm = N.mask
-    coset_of: dict[int, int] = {}
-    class_of = [0] * G.n
-    for a in range(G.n):
-        cm = mask_of(G.rows[a][k] for k in bits(nm))
-        cid = coset_of.setdefault(cm, len(coset_of))
-        class_of[a] = cid
-    return Partition(G.n, class_of)
-
-
-def _require_normal_subgroup(G: GroupTable, N: ElementSet) -> None:
-    nm = N.mask
-    if not nm or not nm >> G.identity & 1:
-        raise errors.NotNormal("not a subgroup: identity missing")
-    for a in bits(nm):
-        if not nm >> G.inverse[a] & 1:
-            raise errors.NotNormal("not a subgroup: inverse escapes")
-        for b in bits(nm):
-            if not nm >> G.rows[a][b] & 1:
-                raise errors.NotNormal("not a subgroup: product escapes")
-    for g in range(G.n):
-        gi = G.inverse[g]
-        for a in bits(nm):
-            if not nm >> G.rows[G.rows[g][a]][gi] & 1:
-                raise errors.NotNormal(f"conjugation by {g} escapes")
-
-
-def quotient_group(G: GroupTable, N: ElementSet) -> GroupTable:
-    """Coset group with least-index representatives as element names."""
-    part = cosets(G, N)
-    reps = [c.indices()[0] for c in part.classes]
-    names = [G.names[r] for r in reps]
-    k = len(reps)
-    rows = [
-        [part.class_of[G.rows[reps[i]][reps[j]]] for j in range(k)] for i in range(k)
-    ]
-    return GroupTable(names, rows)
-
-
-def abelianization(G: GroupTable) -> GroupTable:
-    """Quotient by the commutator subgroup."""
-    return quotient_group(G, commutator_subgroup(G))
-
-
-def direct_product_group(G1: GroupTable, G2: GroupTable) -> GroupTable:
-    """Componentwise product, row-major pairing."""
-    n2 = G2.n
-    names = [f"{a}.{b}" for a in G1.names for b in G2.names]
-    rows = []
-    for a1 in range(G1.n):
-        for a2 in range(n2):
-            rows.append(
-                [
-                    G1.rows[a1][b1] * n2 + G2.rows[a2][b2]
-                    for b1 in range(G1.n)
-                    for b2 in range(n2)
-                ]
-            )
-    return GroupTable(names, rows)
+def commutator_subgroup(G: HyperTable) -> ElementSet:
+    """Subgroup generated by all a*b*a^-1*b^-1: in a finite group, the
+    closure of a nonempty set under products."""
+    rows, inv = products(G), inverses(G)
+    comms = mask_of(
+        rows[rows[rows[a][b]][inv[a]]][inv[b]] for a in range(G.n) for b in range(G.n)
+    )
+    return ElementSet(G.n, product_closure(G)(comms, 0))
 
 
 def isomorphic(
-    G1: GroupTable, G2: GroupTable, f1: Sequence[int], f2: Sequence[int]
+    G1: HyperTable, G2: HyperTable, f1: Sequence[int], f2: Sequence[int]
 ) -> bool:
-    """Whether f1[x] -> f2[x] is an isomorphism from G1 onto G2.
+    """Whether f1[x] -> f2[x] is an isomorphism from the group G1 onto G2.
 
     f1 and f2 send the same points x into G1 and G2, as two canonical
     projections do; the map is read off those pairs, so it must be well
@@ -201,103 +108,9 @@ def isomorphic(
             return False
     if -1 in phi or len(set(phi)) != G1.n:
         return False
-    rows1, rows2 = G1.rows, G2.rows
+    rows1, rows2 = products(G1), products(G2)
     return all(
         phi[rows1[a][b]] == rows2[phi[a]][phi[b]]
         for a in range(G1.n)
         for b in range(G1.n)
     )
-
-
-class DirectSumFamily:
-    """Indexed family of groups with their abelianization data.
-
-    Supports finitely supported sums over the abelianized factors; the
-    stored component of a factor is an element index of that factor's
-    abelianization, never its identity.
-    """
-
-    __slots__ = ("groups", "abelianizations", "projections")
-
-    def __init__(self, groups: Sequence[GroupTable]):
-        self.groups = tuple(groups)
-        abelians = []
-        projections = []
-        for G in self.groups:
-            comm = commutator_subgroup(G)
-            part = cosets(G, comm)
-            abelians.append(quotient_group(G, comm))
-            projections.append(part.class_of)
-        self.abelianizations = tuple(abelians)
-        self.projections = tuple(projections)
-
-    def zero(self) -> "DirectSumElement":
-        return DirectSumElement(self, ())
-
-    def inject(self, factor: int, elem: int) -> "DirectSumElement":
-        """Image of one factor element under projection into the sum."""
-        if not 0 <= factor < len(self.groups):
-            raise errors.FamilyMismatch(f"no factor {factor}")
-        if not 0 <= elem < self.groups[factor].n:
-            raise errors.FamilyMismatch(f"element {elem} outside factor {factor}")
-        cls = self.projections[factor][elem]
-        if cls == self.abelianizations[factor].identity:
-            return self.zero()
-        return DirectSumElement(self, ((factor, cls),))
-
-
-class DirectSumElement:
-    """Finitely supported element of the direct sum of abelianizations."""
-
-    __slots__ = ("family", "support")
-
-    def __init__(self, family: DirectSumFamily, support: Iterable[tuple[int, int]]):
-        self.family = family
-        self.support = tuple(sorted(support))
-
-    def is_zero(self) -> bool:
-        return not self.support
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DirectSumElement)
-            and self.family is other.family
-            and self.support == other.support
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.family), self.support))
-
-    def __repr__(self) -> str:
-        if not self.support:
-            return "DirectSumElement(0)"
-        parts = ", ".join(
-            f"{i}->{self.family.abelianizations[i].names[c]}" for i, c in self.support
-        )
-        return f"DirectSumElement({parts})"
-
-    def __neg__(self) -> "DirectSumElement":
-        out = []
-        for i, c in self.support:
-            out.append((i, self.family.abelianizations[i].inverse[c]))
-        return DirectSumElement(self.family, out)
-
-
-def direct_sum_add(
-    family: DirectSumFamily, a: DirectSumElement, b: DirectSumElement
-) -> DirectSumElement:
-    """Componentwise sum; identity components drop out of the support."""
-    if a.family is not family or b.family is not family:
-        raise errors.FamilyMismatch("operands belong to a different family")
-    acc = dict(a.support)
-    for i, c in b.support:
-        if i in acc:
-            A = family.abelianizations[i]
-            v = A.rows[acc[i]][c]
-            if v == A.identity:
-                del acc[i]
-            else:
-                acc[i] = v
-        else:
-            acc[i] = c
-    return DirectSumElement(family, acc.items())

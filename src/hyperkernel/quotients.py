@@ -22,6 +22,7 @@ from hyperkernel.core import (
     hyperproduct,
     is_canonical,
     is_closed,
+    is_commutative,
     is_hypergroup,
     is_normal,
     is_subhypergroup,
@@ -29,7 +30,7 @@ from hyperkernel.core import (
     product_closure,
     scalar_identity,
 )
-from hyperkernel.groups import GroupTable, cosets, direct_product_group, isomorphic
+from hyperkernel.groups import isomorphic
 from hyperkernel.relations import (
     QuotientStructure,
     beta,
@@ -149,14 +150,14 @@ def _coset_quotient(H: HyperTable, K: ElementSet) -> QuotientStructure | None:
         return None
 
 
-def _closed_quotient_group(H: HyperTable, K: ElementSet) -> GroupTable | None:
+def _closed_quotient_group(H: HyperTable, K: ElementSet) -> HyperTable | None:
     """The group H/K for closed K, or None when H/K is not a group."""
     if not is_subhypergroup(H, K):
         raise errors.NotASubhypergroup("need a subhypergroup")
     if not is_closed(H, K):
         raise errors.NotClosed("need a closed subhypergroup")
     q = _coset_quotient(H, K)
-    return q.group if q is not None else None
+    return q.table if q is not None and q.is_group else None
 
 
 def check_group_quotient(H: HyperTable, K: ElementSet) -> bool:
@@ -167,7 +168,7 @@ def check_group_quotient(H: HyperTable, K: ElementSet) -> bool:
 def check_abelian_quotient(H: HyperTable, K: ElementSet) -> bool:
     """Whether H/K is an abelian group, for closed K."""
     G = _closed_quotient_group(H, K)
-    return G is not None and G.is_abelian()
+    return G is not None and is_commutative(G)
 
 
 class IdentityOutcome(NamedTuple):
@@ -208,15 +209,15 @@ def _correspondence_for(
     # Quotient of the quotient vs quotient by the lifted kernel, through
     # the canonical map that sends x's class in the first to its class in
     # the second.
-    g_left = quotient_by(Q, rho_Q).group
+    q_left = quotient_by(Q, rho_Q)
     gq = _coset_quotient(H, lifted)
     quotient_iso = (
-        g_left is not None
+        q_left.is_group
         and gq is not None
-        and gq.group is not None
+        and gq.is_group
         and isomorphic(
-            g_left,
-            gq.group,
+            q_left.table,
+            gq.table,
             [rho_Q.class_of[q] for q in sigma.class_of],
             gq.relation.class_of,
         )
@@ -235,7 +236,7 @@ def _correspondence_for(
             if rho_H.classes[c].mask | lifted.mask == lifted.mask
         ),
     )
-    sigma_prime = cosets(q_rho.group, n_ids)
+    sigma_prime = congruence_mod(q_rho.table, n_ids)
     p3 = pullback(sigma_prime, rho_H)
     chain_match = p1 == p2 == p3
 
@@ -290,18 +291,17 @@ def product_identities_check(H1: HyperTable, H2: HyperTable) -> ProductIdentitie
         P.n, (i1 * H2.n + i2 for i1 in s1 for i2 in s2)
     )
     rho_p, rho_1, rho_2 = gamma(P), gamma(H1), gamma(H2)
-    g_p = quotient_by(P, rho_p).group
-    g_1 = quotient_by(H1, rho_1).group
-    g_2 = quotient_by(H2, rho_2).group
+    q_p, q_1, q_2 = quotient_by(P, rho_p), quotient_by(H1, rho_1), quotient_by(H2, rho_2)
+    k2 = len(rho_2.classes)
     iso = (
-        g_p is not None
-        and g_1 is not None
-        and g_2 is not None
+        q_p.is_group
+        and q_1.is_group
+        and q_2.is_group
         and isomorphic(
-            g_p,
-            direct_product_group(g_1, g_2),
+            q_p.table,
+            direct_product(q_1.table, q_2.table),
             rho_p.class_of,
-            [c1 * g_2.n + c2 for c1 in rho_1.class_of for c2 in rho_2.class_of],
+            [c1 * k2 + c2 for c1 in rho_1.class_of for c2 in rho_2.class_of],
         )
     )
     return ProductIdentitiesReport(sp == expected, iso, sp, expected)

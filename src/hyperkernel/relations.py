@@ -25,8 +25,9 @@ from hyperkernel.core import (
     is_subhypergroup,
     per_table,
     product_closure,
+    scalar_identity,
 )
-from hyperkernel.groups import GroupTable, commutator_subgroup, cosets, validate_group
+from hyperkernel.groups import commutator_subgroup, inverses
 
 DEFAULT_ORACLE_BUDGET = 10_000_000
 
@@ -58,7 +59,7 @@ def gamma(H: HyperTable) -> Partition:
     q = quotient_by(H, b)
     if not q.is_group:
         raise errors.NotStronglyRegular("beta quotient failed to be a group")
-    sigma = cosets(q.group, commutator_subgroup(q.group))
+    sigma = congruence_mod(q.table, commutator_subgroup(q.table))
     return pullback(sigma, b)
 
 
@@ -112,16 +113,12 @@ class QuotientStructure:
     referenced.
     """
 
-    __slots__ = ("relation", "table", "is_group", "group", "__weakref__")
+    __slots__ = ("relation", "table", "is_group", "__weakref__")
 
-    def __init__(
-        self, relation: Partition, table: HyperTable, is_group: bool,
-        group: GroupTable | None,
-    ):
+    def __init__(self, relation: Partition, table: HyperTable, is_group: bool):
         self.relation = relation
         self.table = table
         self.is_group = is_group
-        self.group = group
 
 
 @per_table
@@ -147,15 +144,13 @@ def quotient_by(H: HyperTable, R: Partition) -> QuotientStructure:
                             )
     names = [H.names[r] for r in reps]
     table = HyperTable(names, cells, name=None)
-    group = None
-    if all(cell & (cell - 1) == 0 for row in cells for cell in row):
+    is_group = all(cell & (cell - 1) == 0 for row in cells for cell in row)
+    if is_group:
         try:
-            group = validate_group(
-                [[cell.bit_length() - 1 for cell in row] for row in cells], names
-            )
+            inverses(table)
         except errors.InvalidGroupTable:
-            group = None
-    return QuotientStructure(R, table, group is not None, group)
+            is_group = False
+    return QuotientStructure(R, table, is_group)
 
 
 def kernel_S(H: HyperTable, R: Partition) -> ElementSet:
@@ -171,7 +166,7 @@ def kernel_S(H: HyperTable, R: Partition) -> ElementSet:
         raise errors.NotStronglyRegular("kernel needs a strongly regular relation")
     if not q.is_group:
         raise errors.NotStronglyRegular("quotient is not a group")
-    return R.classes[q.group.identity]
+    return R.classes[scalar_identity(q.table)]
 
 
 def congruence_mod(H: HyperTable, K: ElementSet) -> Partition:

@@ -23,6 +23,14 @@ The library checks the quotient identities through the canonical map
 each one names; the backtracking isomorphism search here is the
 independent route that asks only whether some isomorphism exists.
 
+The library runs a group as a hypergroup with singleton cells: the
+subgroup generated by a set is its product closure, cosets are a
+congruence, and the abelianization is the quotient by gamma.
+GroupView, subgroup_generated, commutator_subgroup, cosets and
+quotient_group here are the direct routes on an integer Cayley table
+read off the cells: closure under products and inverses, left cosets
+of a checked normal subgroup, and least-index coset representatives.
+
 The library scans associativity over interned cells (group tables
 too, on their singleton cells), builds the permuted-product blocks of
 gamma_oracle length by length and multiplies direct-product cells by
@@ -63,7 +71,7 @@ from hyperkernel.freeprod import (
     project,
     psi_image,
 )
-from hyperkernel.groups import GroupTable, isomorphic, subgroup_generated
+from hyperkernel.groups import isomorphic
 from hyperkernel.quotients import SubEntry, quotient_hypergroup
 from hyperkernel.relations import congruence_mod, gamma, kernel_S
 
@@ -374,35 +382,109 @@ def strongly_regular(H: HyperTable) -> list[Partition]:
     return found
 
 
-def _element_orders(G: GroupTable) -> list[int]:
+class GroupView:
+    """Integer Cayley table, identity and inverses of a singleton-cell
+    group table, read off its cells by direct loops."""
+
+    def __init__(self, G: HyperTable):
+        n = self.n = G.n
+        self.names = G.names
+        rows = self.rows = [[cell.bit_length() - 1 for cell in row] for row in G.rows]
+        self.identity = next(
+            e for e in range(n) if all(rows[e][x] == x == rows[x][e] for x in range(n))
+        )
+        self.inverse = [
+            next(b for b in range(n) if rows[a][b] == self.identity) for a in range(n)
+        ]
+
+
+def subgroup_generated(G: HyperTable, S) -> ElementSet:
+    """Smallest subgroup containing S (closure under product and inverse)."""
+    V = GroupView(G)
+    members = {V.identity}
+    frontier = [V.identity]
+    for s in S:
+        if s not in members:
+            members.add(s)
+            frontier.append(s)
+    while frontier:
+        a = frontier.pop()
+        candidates = [V.inverse[a]]
+        candidates.extend(V.rows[a][b] for b in list(members))
+        candidates.extend(V.rows[b][a] for b in list(members))
+        for c in candidates:
+            if c not in members:
+                members.add(c)
+                frontier.append(c)
+    return ElementSet.from_indices(V.n, members)
+
+
+def commutator_subgroup(G: HyperTable) -> ElementSet:
+    """Subgroup generated by all a*b*a^-1*b^-1."""
+    V = GroupView(G)
+    rows, inv = V.rows, V.inverse
+    comms = {rows[rows[rows[a][b]][inv[a]]][inv[b]] for a in range(V.n) for b in range(V.n)}
+    return subgroup_generated(G, comms)
+
+
+def cosets(G: HyperTable, N: ElementSet) -> Partition:
+    """Partition of G into the left cosets of the normal subgroup N."""
+    V = GroupView(G)
+    nm = N.mask
+    closed = all(nm >> V.rows[a][b] & 1 and nm >> V.inverse[a] & 1 for a in N for b in N)
+    if V.identity not in N or not closed:
+        raise errors.NotNormal("not a subgroup")
+    for g in range(V.n):
+        for a in N:
+            if not nm >> V.rows[V.rows[g][a]][V.inverse[g]] & 1:
+                raise errors.NotNormal(f"conjugation by {g} escapes")
+    coset_of: dict[frozenset, int] = {}
+    class_of = [0] * V.n
+    for a in range(V.n):
+        coset = frozenset(V.rows[a][k] for k in N)
+        class_of[a] = coset_of.setdefault(coset, len(coset_of))
+    return Partition(V.n, class_of)
+
+
+def quotient_group(G: HyperTable, N: ElementSet) -> HyperTable:
+    """Coset group with least-index representatives as element names."""
+    V = GroupView(G)
+    part = cosets(G, N)
+    reps = [c.indices()[0] for c in part.classes]
+    rows = [[1 << part.class_of[V.rows[r][s]] for s in reps] for r in reps]
+    return HyperTable([V.names[r] for r in reps], rows)
+
+
+def _element_orders(V: GroupView) -> list[int]:
     orders = []
-    for a in range(G.n):
+    for a in range(V.n):
         x, k = a, 1
-        while x != G.identity:
-            x, k = G.rows[x][a], k + 1
+        while x != V.identity:
+            x, k = V.rows[x][a], k + 1
         orders.append(k)
     return orders
 
 
-def find_isomorphism(G1: GroupTable, G2: GroupTable) -> tuple[int, ...] | None:
-    """Some isomorphism G1 -> G2 as a tuple of images, or None.
+def find_isomorphism(T1: HyperTable, T2: HyperTable) -> tuple[int, ...] | None:
+    """Some isomorphism between two groups as a tuple of images, or None.
 
-    Backtracks over images of a greedy generating sequence of G1, each
-    image of the same element order, and extends every assignment
+    Backtracks over images of a greedy generating sequence of the first,
+    each image of the same element order, and extends every assignment
     through fixed words in the generators.
     """
-    if G1.n != G2.n:
+    if T1.n != T2.n:
         return None
-    n = G1.n
+    n = T1.n
+    G1, G2 = GroupView(T1), GroupView(T2)
     ord1, ord2 = _element_orders(G1), _element_orders(G2)
     if sorted(ord1) != sorted(ord2):
         return None
 
     gens: list[int] = []
-    closure = subgroup_generated(G1, ())
+    closure = subgroup_generated(T1, ())
     while len(closure) < n:
         gens.append(next(a for a in range(n) if a not in closure))
-        closure = subgroup_generated(G1, gens)
+        closure = subgroup_generated(T1, gens)
 
     # Words expressing every element of G1 through the generators, so a
     # generator assignment extends to at most one homomorphism.

@@ -3,10 +3,11 @@ import random
 import pytest
 
 import oracles
-from generators import random_hypergroups
+from generators import random_hypergroups, s4_mod_double_transposition
 from hyperkernel import corpus, errors, freeprod
 from hyperkernel.freeprod import (
     EMPTY_WORD,
+    DirectSumFamily,
     FactorRegistry,
     Letter,
     ReducedWord,
@@ -37,7 +38,7 @@ from hyperkernel.core import (
     is_strongly_regular_hg,
     unique_inverses,
 )
-from hyperkernel.groups import DirectSumFamily, validate_group
+from hyperkernel.groups import validate_group
 from hyperkernel.quotients import quotient_hypergroup, subhypergroups
 from hyperkernel.relations import congruence_mod
 
@@ -405,13 +406,11 @@ class TestPsi:
         rng = random.Random(31)
         fam = group_reg.direct_sum_family()
         pool = enumerate_words(group_reg, 2)
-        from hyperkernel.groups import direct_sum_add
-
         for _ in range(150):
             w1 = pool[rng.randrange(len(pool))]
             w2 = pool[rng.randrange(len(pool))]
             prods = multiply(group_reg, w1, w2)
-            want = direct_sum_add(
+            want = freeprod.direct_sum_add(
                 fam, psi_image(group_reg, w1), psi_image(group_reg, w2)
             )
             for u in prods:
@@ -435,6 +434,14 @@ class TestPsiSupports:
     def test_matches_per_word_images(self, names):
         reg = FactorRegistry([corpus.fixtures()[name] for name in names])
         for max_len in range(6):
+            assert psi_supports(reg, max_len) == self._per_word(reg, max_len)
+
+    @pytest.mark.parametrize("second", ["z2", "s3", "h9"])
+    def test_matches_per_word_images_with_a_non_commutative_polygroup(self, second):
+        # S4//<(01)(23)> has fundamental group S3, so its letters reach
+        # the sum through a non-abelian group
+        reg = FactorRegistry([s4_mod_double_transposition(), corpus.fixtures()[second]])
+        for max_len in range(4):
             assert psi_supports(reg, max_len) == self._per_word(reg, max_len)
 
     def test_matches_per_word_images_on_multivalued_products(self, widened):
@@ -541,6 +548,18 @@ class TestStateCounts:
             for K2 in _normal_subs(G):
                 for max_len in (1, 2, 3):
                     args = ([h9, G], [K1, K2], max_len)
+                    assert quotient_conjecture_report(
+                        *args
+                    ) == oracles.quotient_conjecture_report(*args)
+
+    @pytest.mark.parametrize("second", ["z2", "s3", "h9"])
+    def test_matches_per_word_oracle_with_a_non_commutative_polygroup(self, second):
+        D, G = s4_mod_double_transposition(), corpus.fixtures()[second]
+        assert len(_normal_subs(D)) == 4
+        for K1 in _normal_subs(D):
+            for K2 in _normal_subs(G):
+                for max_len in (1, 2, 3):
+                    args = ([D, G], [K1, K2], max_len)
                     assert quotient_conjecture_report(
                         *args
                     ) == oracles.quotient_conjecture_report(*args)

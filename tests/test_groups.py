@@ -1,37 +1,56 @@
 import itertools
 
 import pytest
-from oracles import find_isomorphism
 
+import oracles
+from generators import double_coset_tables
+from oracles import find_isomorphism
 from hyperkernel import corpus, errors
-from hyperkernel.core import ElementSet
+from hyperkernel.core import (
+    ElementSet,
+    direct_product,
+    is_commutative,
+    product_closure,
+    scalar_identity,
+)
+from hyperkernel.freeprod import DirectSumFamily, direct_sum_add
 from hyperkernel.groups import (
-    DirectSumFamily,
-    abelianization,
     commutator_subgroup,
-    cosets,
-    direct_product_group,
-    direct_sum_add,
+    inverses,
     isomorphic,
-    quotient_group,
-    subgroup_generated,
+    products,
     validate_group,
 )
+from hyperkernel.relations import beta, congruence_mod, gamma, quotient_by
 
 V4 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 Z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+S3_ROWS = corpus._s3_rows()[1]
 
 
 def s3():
-    names, rows = corpus._s3_rows()
-    return validate_group(rows, names)
+    return corpus.symmetric_group_3()
+
+
+def closure(G, members):
+    return ElementSet(G.n, product_closure(G)(G.set_of(members).mask, 0))
+
+
+def mod(G, members):
+    """The quotient table of G by the subgroup with these members."""
+    return quotient_by(G, congruence_mod(G, G.set_of(members))).table
+
+
+def abelianization(G):
+    return quotient_by(G, gamma(G)).table
 
 
 class TestValidation:
     def test_v4_valid(self):
         G = validate_group(V4, names=["e", "a", "b", "c"])
-        assert G.identity == 0
-        assert G.inverse == (0, 1, 2, 3)
+        assert scalar_identity(G) == 0
+        assert inverses(G) == (0, 1, 2, 3)
+        assert products(G) == tuple(map(tuple, V4))
 
     def test_corrupted_cell_not_associative(self):
         rows = [[(i + j) % 3 for j in range(3)] for i in range(3)]
@@ -41,7 +60,7 @@ class TestValidation:
 
     def test_no_identity(self):
         with pytest.raises(errors.NoIdentity):
-            validate_group([[1, 0], [0, 1]][::-1] and [[1, 1], [1, 1]])
+            validate_group([[1, 1], [1, 1]])
 
     def test_subtraction_not_associative(self):
         # a*b = a - b mod 3: (0-1)-1 = 1 but 0-(1-1) = 0
@@ -57,7 +76,7 @@ class TestValidation:
         from oracles import group_table_error
 
         rng = random.Random(6)
-        groups = [Z4, V4, s3().rows, [[(i + j) % 6 for j in range(6)] for i in range(6)]]
+        groups = [Z4, V4, S3_ROWS, [[(i + j) % 6 for j in range(6)] for i in range(6)]]
         seen = set()
         for i in range(600):
             kind = i % 3
@@ -83,8 +102,9 @@ class TestValidation:
             expected = group_table_error(rows)
             if expected is None:
                 G = validate_group(rows)
-                assert G.inverse == tuple(
-                    next(b for b in range(n) if rows[a][b] == G.identity == rows[b][a])
+                e = scalar_identity(G)
+                assert inverses(G) == tuple(
+                    next(b for b in range(n) if rows[a][b] == e == rows[b][a])
                     for a in range(n)
                 )
                 seen.add("group")
@@ -109,20 +129,19 @@ class TestValidation:
 
 
 class TestSubgroups:
+    """In a finite group the product closure is the generated subgroup."""
+
     def test_identity_alone(self):
         G = s3()
-        assert subgroup_generated(G, []) == ElementSet.from_indices(6, [0])
+        assert closure(G, [0]) == ElementSet.from_indices(6, [0])
 
     def test_transposition_generates_order_two(self):
         G = s3()
-        s = G.index("s")
-        assert len(subgroup_generated(G, [s])) == 2
+        assert len(closure(G, [G.index("s")])) == 2
 
     def test_two_generators_give_whole_group(self):
         G = s3()
-        assert subgroup_generated(G, [G.index("r"), G.index("s")]) == ElementSet(
-            6, 0b111111
-        )
+        assert closure(G, [G.index("r"), G.index("s")]) == ElementSet(6, 0b111111)
 
 
 class TestCommutators:
@@ -137,7 +156,7 @@ class TestCommutators:
 
     def test_product_commutator_splits(self):
         G1, G2 = s3(), s3()
-        P = direct_product_group(G1, G2)
+        P = direct_product(G1, G2)
         c1 = commutator_subgroup(G1)
         c2 = commutator_subgroup(G2)
         expected = ElementSet.from_indices(
@@ -149,41 +168,31 @@ class TestCommutators:
 class TestQuotients:
     def test_mod_trivial_is_self(self):
         G = validate_group(Z4)
-        Q = quotient_group(G, ElementSet.from_indices(4, [0]))
-        assert Q.rows == G.rows
+        assert mod(G, [0]).rows == G.rows
 
     def test_mod_whole_is_trivial(self):
-        G = validate_group(Z4)
-        Q = quotient_group(G, ElementSet(4, 0b1111))
-        assert Q.n == 1
+        assert mod(validate_group(Z4), range(4)).n == 1
 
     def test_v4_mod_order_two(self):
-        G = validate_group(V4)
-        Q = quotient_group(G, ElementSet.from_indices(4, [0, 1]))
+        Q = mod(validate_group(V4), [0, 1])
         assert Q.n == 2
         assert find_isomorphism(Q, validate_group([[0, 1], [1, 0]])) is not None
 
     def test_cosets_partition(self):
         G = s3()
-        a3 = ElementSet.from_indices(6, [0, 1, 2])
-        part = cosets(G, a3)
+        part = congruence_mod(G, ElementSet.from_indices(6, [0, 1, 2]))
         assert len(part) == 2
         assert all(len(c) == 3 for c in part.classes)
-
-    def test_non_normal_rejected(self):
-        G = s3()
-        with pytest.raises(errors.NotNormal):
-            cosets(G, subgroup_generated(G, [G.index("s")]))
 
     def test_abelianization(self):
         assert abelianization(s3()).n == 2
         assert abelianization(validate_group(V4)).n == 4
-        assert abelianization(validate_group(Z4)).is_abelian()
+        assert is_commutative(abelianization(validate_group(Z4)))
 
     def test_abelianization_of_product(self):
         G1, G2 = s3(), validate_group(Z4)
-        left = abelianization(direct_product_group(G1, G2))
-        right = direct_product_group(abelianization(G1), abelianization(G2))
+        left = abelianization(direct_product(G1, G2))
+        right = direct_product(abelianization(G1), abelianization(G2))
         assert find_isomorphism(left, right) is not None
 
 
@@ -240,7 +249,7 @@ class TestIsomorphism:
     def test_self_isomorphic(self):
         G = s3()
         phi = find_isomorphism(G, G)
-        assert phi is not None and phi[G.identity] == G.identity
+        assert phi is not None and phi[0] == 0
 
     def test_witness_is_homomorphism(self):
         G = validate_group(V4)
@@ -251,7 +260,7 @@ class TestIsomorphism:
         assert phi is not None
         for a in range(4):
             for b in range(4):
-                assert phi[G.rows[a][b]] == relabeled.rows[phi[a]][phi[b]]
+                assert phi[V4[a][b]] == products(relabeled)[phi[a]][phi[b]]
 
     def test_equivalence_spot_checks(self):
         z4 = validate_group(Z4)
@@ -266,18 +275,69 @@ class TestIsomorphism:
 
     def test_commutator_is_normal(self):
         G = s3()
+        rows, inv = products(G), inverses(G)
         comm = commutator_subgroup(G)
         for g in range(G.n):
-            gi = G.inverse[g]
             for a in comm:
-                assert G.rows[G.rows[g][a]][gi] in comm
+                assert rows[rows[g][a]][inv[g]] in comm
 
     def test_coset_order_formula(self):
         G = s3()
         a3 = ElementSet.from_indices(6, [0, 1, 2])
-        part = cosets(G, a3)
+        part = congruence_mod(G, a3)
         assert sum(len(c) for c in part.classes) == G.n
         assert G.n == len(a3) * len(part)
+
+
+def parity_groups():
+    """The corpus groups, s3 x s3, z4 x v4, and the fundamental groups of
+    the double-coset tables."""
+    out = {
+        name: H
+        for name, H in corpus.corpus().items()
+        if all(c & (c - 1) == 0 for row in H.rows for c in row)
+    }
+    out["s3xs3"] = direct_product(s3(), s3())
+    out["z4xv4"] = direct_product(corpus.cyclic_group(4), corpus.klein_four())
+    for name, H in double_coset_tables().items():
+        q = quotient_by(H, beta(H))
+        assert q.is_group
+        out[f"fundamental group of {name}"] = q.table
+    return out
+
+
+class TestGroupOracles:
+    """Product closure, congruences and gamma quotients against the direct
+    subgroup, coset and quotient-group loops of the oracles."""
+
+    def test_commutators_and_abelianizations(self):
+        groups = parity_groups()
+        assert {1, 2, 3, 6, 16, 36} <= {G.n for G in groups.values()}
+        family = DirectSumFamily(list(groups.values()))
+        for i, (name, G) in enumerate(groups.items()):
+            comm = oracles.commutator_subgroup(G)
+            assert commutator_subgroup(G) == comm, name
+            assert family.projections[i] == oracles.cosets(G, comm).class_of, name
+            assert family.abelianizations[i] == oracles.quotient_group(G, comm), name
+            assert validate_group(products(G), G.names) == G, name
+            assert list(inverses(G)) == oracles.GroupView(G).inverse, name
+
+    def test_product_closure_and_congruences(self):
+        normal = 0
+        for G in (s3(), corpus.cyclic_group(6), corpus.klein_four()):
+            subgroups = set()
+            for mask in range(1, 1 << G.n):
+                S = ElementSet(G.n, mask)
+                subgroups.add(closure(G, S))
+                assert closure(G, S) == oracles.subgroup_generated(G, S)
+            for N in subgroups:
+                try:
+                    want = oracles.cosets(G, N)
+                except errors.NotNormal:
+                    continue
+                assert congruence_mod(G, N) == want
+                normal += 1
+        assert normal == 3 + 4 + 5
 
 
 class TestDirectSums:
