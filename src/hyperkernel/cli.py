@@ -267,13 +267,12 @@ def _cmd_product(args) -> dict:
     H1 = _load(args.table1)
     H2 = _load(args.table2)
     rep = quotients.product_identities_check(H1, H2)
-    P = core.direct_product(H1, H2)
     return {
         "carrier_size": H1.n * H2.n,
         "kernel_match": rep.kernel_match,
         "gamma_quotient_iso": rep.gamma_quotient_iso,
         "holds": rep.holds,
-        "product_kernel": set_labels(P.names, rep.product_kernel),
+        "product_kernel": set_labels(rep.product.names, rep.product_kernel),
     }
 
 
@@ -472,7 +471,9 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on a usage error; here 2 means exhaustion.
         return 1 if exc.code else 0
     try:
-        doc = args.func(args)
+        # one command shares one analysis between tables with equal rows
+        with core.shared_memos():
+            doc = args.func(args)
     except errors.ResourceExhausted as exc:
         print(f"hyperkernel: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,7 @@ immutable after construction and all operations are pure functions.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import re
 from operator import or_
@@ -203,11 +204,27 @@ def _check_names(names: Sequence[str]) -> tuple[str, ...]:
     return out
 
 
+# rows -> memo dict of the command in progress (see shared_memos), or None.
+_shared_memos: dict | None = None
+
+
+@contextlib.contextmanager
+def shared_memos():
+    """Tables with equal rows built inside this scope share one memo."""
+    global _shared_memos
+    outer, _shared_memos = _shared_memos, {}
+    try:
+        yield
+    finally:
+        _shared_memos = outer
+
+
 class HyperTable:
     """Finite hypergroupoid: labels plus an n x n grid of nonempty subsets.
 
     memo holds the results of the per_table functions on this table; it
-    takes no part in equality or hashing.
+    takes no part in equality or hashing.  Inside shared_memos, every
+    table with the same rows holds the same memo dict.
     """
 
     __slots__ = ("n", "names", "rows", "name", "_index", "memo")
@@ -237,7 +254,9 @@ class HyperTable:
         self.rows = tuple(tuple(row) for row in rows)
         self.name = name
         self._index = {lab: i for i, lab in enumerate(self.names)}
-        self.memo: dict = {}
+        self.memo: dict = (
+            {} if _shared_memos is None else _shared_memos.setdefault(self.rows, {})
+        )
 
     @classmethod
     def from_sets(
@@ -304,8 +323,12 @@ class HyperTable:
         return f"HyperTable({tag})"
 
 
-def per_table(fn: Callable) -> Callable:
-    """Memoise fn(H, *args) on the table H, which is immutable.
+def per_table(fn: Callable | None = None, *, labelled: bool = False) -> Callable:
+    """Memoise fn(H, *args) on the rows of the table H, which is immutable.
+
+    Tables with equal rows may share a memo (see shared_memos), so a
+    result that carries H's labels needs @per_table(labelled=True),
+    which keys it on H.names too.
 
     Arguments are bound with their defaults first, so fn(H) and fn(H, d)
     share an entry when d is the default.  The binder reads the parameter
@@ -315,6 +338,8 @@ def per_table(fn: Callable) -> Callable:
     is never cached.  Only functions with positional-or-keyword
     parameters, immutable results and hashable arguments qualify.
     """
+    if fn is None:
+        return functools.partial(per_table, labelled=labelled)
     params = fn.__code__.co_varnames[1:fn.__code__.co_argcount]
     defaults = fn.__defaults__ or ()
     required = len(params) - len(defaults)
@@ -344,7 +369,7 @@ def per_table(fn: Callable) -> Callable:
     def memoised(H: HyperTable, *args, **kwargs):
         if kwargs or len(args) != len(params):
             args = bind(args, kwargs)
-        key = (fn, args)
+        key = (fn, args, H.names) if labelled else (fn, args)
         memo = H.memo
         if key in memo:
             return memo[key]
@@ -482,6 +507,7 @@ def is_strongly_regular_hg(H: HyperTable) -> bool:
     )
 
 
+@per_table
 def unique_inverses(H: HyperTable) -> tuple[int, ...] | None:
     """Map x -> its unique inverse, or None if any C(x) is not a singleton."""
     cands = [inverse_candidates(H, x)[2] for x in range(H.n)]
@@ -660,7 +686,7 @@ def from_group(table: Sequence[Sequence[int]], names: Sequence[str] | None = Non
     from hyperkernel.groups import validate_group
 
     G = validate_group(table, names)
-    # G is new and unshared, and its name takes no part in equality.
+    # G is a new object, and its name takes no part in equality or memo.
     G.name = name
     return G
 

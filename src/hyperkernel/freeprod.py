@@ -254,7 +254,8 @@ def make_word(registry: FactorRegistry, letters: Iterable[Letter]) -> ReducedWor
         if not 0 <= l.elem < registry.factors[l.factor].n:
             raise errors.UnknownLabel(f"element {l.elem} outside factor {l.factor}")
         if l.elem == registry.identities[l.factor]:
-            raise errors.IdentityLetter(f"letter {l.elem}@{l.factor} is an identity")
+            label = registry.factors[l.factor].names[l.elem]
+            raise errors.IdentityLetter(f"letter {label}@{l.factor} is an identity")
         if l.factor == prev:
             raise errors.AdjacentSameFactor(
                 f"adjacent letters from factor {l.factor}"

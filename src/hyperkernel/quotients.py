@@ -126,7 +126,7 @@ def _coset_names(H: HyperTable, K: ElementSet, part: Partition) -> list[str]:
     return ["K" if xk[r] == K.mask else f"{H.names[r]}K" for r in reps]
 
 
-@per_table
+@per_table(labelled=True)
 def quotient_hypergroup(H: HyperTable, K: ElementSet, name: str | None = None) -> HyperTable:
     """Coset table H/K for a normal subhypergroup K.
 
@@ -267,6 +267,7 @@ def correspondence_check(H: HyperTable, K: ElementSet) -> CorrespondenceReport:
 
 
 class ProductIdentitiesReport(NamedTuple):
+    product: HyperTable
     kernel_match: bool
     gamma_quotient_iso: bool
     product_kernel: ElementSet
@@ -304,4 +305,4 @@ def product_identities_check(H1: HyperTable, H2: HyperTable) -> ProductIdentitie
             [c1 * k2 + c2 for c1 in rho_1.class_of for c2 in rho_2.class_of],
         )
     )
-    return ProductIdentitiesReport(sp == expected, iso, sp, expected)
+    return ProductIdentitiesReport(P, sp == expected, iso, sp, expected)

@@ -121,7 +121,7 @@ class QuotientStructure:
         self.is_group = is_group
 
 
-@per_table
+@per_table(labelled=True)
 def quotient_by(H: HyperTable, R: Partition) -> QuotientStructure:
     """Quotient hyperoperation on classes, verified representative-free."""
     if R.n != H.n:

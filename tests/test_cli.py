@@ -215,6 +215,10 @@ class TestFreeprod:
         )
         assert json.loads(out)["words"] == ["1"]
 
+    def test_identity_letter_is_named_by_its_label(self, capsys):
+        code, out, err = run(capsys, "freeprod", "--factors", "h9,v4", "eval", "e@0")
+        assert (code, out, err) == (1, "", "hyperkernel: letter e@0 is an identity\n")
+
     @pytest.mark.parametrize(
         "action,expr", [("eval", "x@0 *"), ("eval", "* x@0"), ("eval", "x@0 *  * x@0"), ("psi", " ")]
     )

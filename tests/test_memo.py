@@ -1,5 +1,5 @@
 """The per-table memo: what it shares, what it never keeps, and a spy over
-the CLI asserting that no table runs a kernel twice in one command."""
+the CLI asserting that no rows run a kernel twice in one command."""
 
 import gc
 import weakref
@@ -8,7 +8,7 @@ import pytest
 
 from hyperkernel import corpus, errors, kernels
 from hyperkernel.cli import main
-from hyperkernel.core import HyperTable, is_semihypergroup, per_table
+from hyperkernel.core import HyperTable, is_semihypergroup, per_table, shared_memos
 from hyperkernel.hypio import format_hyp
 from hyperkernel.relations import beta, quotient_by
 
@@ -19,25 +19,22 @@ def fresh(H: HyperTable) -> HyperTable:
 
 
 class Spy:
-    """Counts kernel calls per table; keeps every rows tuple alive so that
-    no id is reused by a later table."""
+    """Counts kernel calls per rows value, so equal tables count together."""
 
     def __init__(self, monkeypatch, *names):
-        self.calls: dict[tuple[str, int], int] = {}
-        self.alive = []
+        self.calls: dict[tuple[str, tuple], int] = {}
         for name in names:
             monkeypatch.setattr(kernels, name, self._wrap(name, getattr(kernels, name)))
 
     def _wrap(self, name, fn):
         def spied(rows, *args):
-            self.alive.append(rows)
-            key = (name, id(rows))
+            key = (name, rows)
             self.calls[key] = self.calls.get(key, 0) + 1
             return fn(rows, *args)
 
         return spied
 
-    def repeats(self) -> dict[tuple[str, int], int]:
+    def repeats(self) -> dict[tuple[str, tuple], int]:
         return {key: k for key, k in self.calls.items() if k > 1}
 
 
@@ -89,7 +86,21 @@ class TestPerTable:
         H, G = fresh(corpus.h9()), fresh(corpus.h9())
         assert is_semihypergroup(H) == is_semihypergroup(G) == (True, None)
         is_semihypergroup(H)
-        assert sorted(spy.calls.values()) == [1, 1]
+        assert list(spy.calls.values()) == [2]  # one scan by each table
+
+    def test_equal_rows_share_a_memo_within_a_scope(self, monkeypatch):
+        spy = Spy(monkeypatch, "assoc_witness")
+        H = corpus.h9()
+        with shared_memos():
+            G, R = fresh(H), HyperTable([f"r{lab}" for lab in H.names], H.rows)
+            assert G.memo is R.memo
+            assert is_semihypergroup(G) == is_semihypergroup(R) == (True, None)
+            # the labelled facts keep each table's own labels
+            assert quotient_by(G, beta(G)).table.names == ("e", "x", "z", "v")
+            assert quotient_by(R, beta(R)).table.names == ("re", "rx", "rz", "rv")
+        assert spy.calls[("assoc_witness", H.rows)] == 1
+        assert spy.repeats() == {}
+        assert fresh(H).memo is not G.memo
 
     def test_memo_makes_no_reference_cycle(self):
         # a memoised result that referred back to its table would keep the
@@ -142,7 +153,7 @@ class TestPerTable:
 @pytest.fixture
 def table_files(tmp_path):
     paths = {}
-    for name in ("h9", "z2"):
+    for name in ("h9", "z2", "v4"):
         path = tmp_path / f"{name}.hyp"
         path.write_text(format_hyp(corpus.fixtures()[name]), encoding="utf-8")
         paths[name] = str(path)
@@ -162,12 +173,24 @@ def table_files(tmp_path):
         ("derived", "h9"),
         ("sr-enum", "h9"),
         ("product", "h9", "z2"),
+        ("freeprod", "--factors", "h9,v4", "eval", "x@0 a@1 * y@0"),
+        ("freeprod", "--factors", "h9,v4", "psi", "x@0 a@1 y@0"),
+        ("freeprod", "--factors", "h9,v4", "conjectures", "--subs", "e,a;e,a",
+         "--max-len", "3"),
     ],
 )
 def test_each_table_runs_each_kernel_once(capsys, monkeypatch, table_files, argv):
     spy = Spy(monkeypatch, "assoc_witness", "congruence_closure")
-    argv = [table_files.get(arg, arg) for arg in argv]
+    argv = [",".join(table_files.get(t, t) for t in arg.split(",")) for arg in argv]
     assert main(["--json", *argv]) == 0
     capsys.readouterr()
     assert spy.calls
     assert spy.repeats() == {}
+
+
+def test_nothing_is_shared_across_commands(capsys, monkeypatch, table_files):
+    spy = Spy(monkeypatch, "assoc_witness")
+    for _ in range(2):
+        assert main(["--json", "check", table_files["h9"]]) == 0
+    capsys.readouterr()
+    assert spy.calls == {("assoc_witness", corpus.h9().rows): 2}
