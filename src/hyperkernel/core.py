@@ -330,45 +330,19 @@ def per_table(fn: Callable | None = None, *, labelled: bool = False) -> Callable
     result that carries H's labels needs @per_table(labelled=True),
     which keys it on H.names too.
 
-    Arguments are bound with their defaults first, so fn(H) and fn(H, d)
-    share an entry when d is the default.  The binder reads the parameter
-    names and defaults from fn.__code__ and fn.__defaults__ once, here;
-    a call passing every argument positionally is keyed on its arguments
-    as they are.  Bad calls raise TypeError before fn runs.  An exception
-    is never cached.  Only functions with positional-or-keyword
-    parameters, immutable results and hashable arguments qualify.
+    The key is (fn, args), so every argument is passed positionally.  A
+    default would key one fact twice, as fn(H) and fn(H, d), so
+    decorating a function that has one raises TypeError.  A bad call
+    raises TypeError and leaves no entry; an exception is never cached.
+    Only functions with immutable results and hashable arguments qualify.
     """
     if fn is None:
         return functools.partial(per_table, labelled=labelled)
-    params = fn.__code__.co_varnames[1:fn.__code__.co_argcount]
-    defaults = fn.__defaults__ or ()
-    required = len(params) - len(defaults)
-
-    def bind(args: tuple, kwargs: dict) -> tuple:
-        if len(args) > len(params):
-            raise TypeError(
-                f"{fn.__qualname__}() takes {len(params) + 1} positional "
-                f"arguments but {len(args) + 1} were given"
-            )
-        out = list(args)
-        for k in range(len(args), len(params)):
-            if params[k] in kwargs:
-                out.append(kwargs.pop(params[k]))
-            elif k >= required:
-                out.append(defaults[k - required])
-            else:
-                raise TypeError(f"{fn.__qualname__}() missing argument {params[k]!r}")
-        if kwargs:
-            raise TypeError(
-                f"{fn.__qualname__}() got an unexpected or repeated keyword "
-                f"argument {next(iter(kwargs))!r}"
-            )
-        return tuple(out)
+    if fn.__defaults__:
+        raise TypeError(f"per_table: {fn.__qualname__}() has defaults")
 
     @functools.wraps(fn)
-    def memoised(H: HyperTable, *args, **kwargs):
-        if kwargs or len(args) != len(params):
-            args = bind(args, kwargs)
+    def memoised(H: HyperTable, *args):
         key = (fn, args, H.names) if labelled else (fn, args)
         memo = H.memo
         if key in memo:
@@ -488,20 +462,20 @@ def inverse_candidates(H: HyperTable, x: int) -> tuple[ElementSet, ElementSet, E
     return ElementSet(H.n, cl), ElementSet(H.n, cr), ElementSet(H.n, cl & cr)
 
 
-def _require_hypergroup(H: HyperTable) -> None:
+def _require_hypergroup(H: HyperTable, what: str) -> None:
     if not is_hypergroup(H):
-        raise errors.NotAHypergroup("operation requires a hypergroup")
+        raise errors.NotAHypergroup(f"{what} requires a hypergroup")
 
 
 def is_regular_hg(H: HyperTable) -> bool:
     """Identities exist and every element has at least one inverse."""
-    _require_hypergroup(H)
+    _require_hypergroup(H, "operation")
     return bool(identities(H)) and all(inverse_candidates(H, x)[2] for x in range(H.n))
 
 
 def is_strongly_regular_hg(H: HyperTable) -> bool:
     """Identities exist and every element has exactly one inverse."""
-    _require_hypergroup(H)
+    _require_hypergroup(H, "operation")
     return bool(identities(H)) and all(
         len(inverse_candidates(H, x)[2]) == 1 for x in range(H.n)
     )

@@ -108,15 +108,22 @@ _FIXTURES = {
 FIXTURE_NAMES = frozenset(_FIXTURES)
 
 
-@lru_cache(maxsize=None)
 def fixture(name: str) -> HyperTable:
-    """The named fixture, built on first use and shared afterwards."""
+    """The named fixture, a new table on every call.
+
+    The command line builds a fixture inside the command that loads it,
+    so the table takes that command's memo (see core.shared_memos).
+    """
     return _FIXTURES[name]()
 
 
 @lru_cache(maxsize=1)
 def fixtures() -> dict[str, HyperTable]:
-    """Every named fixture, the same objects that `fixture` returns."""
+    """Every named fixture, built once per process and shared afterwards.
+
+    Each table equals what `fixture` builds for its name.  Built outside
+    any command, each keeps a memo of its own.
+    """
     return {name: fixture(name) for name in _FIXTURES}
 
 

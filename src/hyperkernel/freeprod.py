@@ -15,8 +15,8 @@ A set of words is a plain frozenset.  The canonical order of words
 (`ReducedWord.sort_key`: length, then factors, then elements) is applied
 only where order shows: printed word lists and seeded picks.
 
-The conjecture report never lists the base words.  `word_counts` counts
-words by length, and `image_counts` counts the base words reaching each
+The conjecture report lists no words.  `word_counts` counts words by
+length, and `image_counts` counts the base words reaching each
 (last factor, projected word set) state, multiplying each distinct set
 by each distinct class letter once.  Its commutative side is counted by
 states too: psi . phi is a homomorphism into the direct sum, so
@@ -106,7 +106,7 @@ class FactorRegistry:
         betas: list[Partition] = []
         fundamental: list[HyperTable] = []
         for i, H in enumerate(self.factors):
-            _require_hypergroup(H)
+            _require_hypergroup(H, "operation")
             # Without identities every C(x) is empty, so unique inverses
             # alone decide strong regularity.
             inverse_maps.append(unique_inverses(H))
@@ -563,6 +563,19 @@ class QuotientConjectureReport(NamedTuple):
     commutative_formula: dict
 
 
+def _quotient_registry(
+    factors: Sequence[HyperTable], subs: Sequence
+) -> tuple[FactorRegistry, list[tuple[int, ...]]]:
+    """Registry of the quotient factors H_i/K_i, and each factor's coset map."""
+    reg = FactorRegistry([quotient_hypergroup(H, K) for H, K in zip(factors, subs)])
+    return reg, [congruence_mod(H, K).class_of for H, K in zip(factors, subs)]
+
+
+def _target_counts(reg: FactorRegistry, max_len: int) -> list[int]:
+    """Reduced words over reg by length: each factor has one identity."""
+    return word_counts([Q.n - 1 for Q in reg.factors], max_len)
+
+
 def quotient_conjecture_report(
     factors: Sequence[HyperTable],
     subs: Sequence,
@@ -570,27 +583,36 @@ def quotient_conjecture_report(
 ) -> QuotientConjectureReport:
     """Compare both sides of each quotient formula on words of length <= max_len.
 
-    Base words are never listed: their images are counted per distinct
-    state by `image_counts`.  The commutative side sums the letter images
-    of the quotient words per (last factor, direct-sum element) state in
-    `psi_supports`, which is exact because psi . phi is additive.  More
-    than `DEFAULT_WORD_BUDGET` base words raises `BudgetExceeded`, as
-    `enumerate_words` would.
+    No word list is built.  The images of the base words are counted per
+    distinct state by `image_counts`.  The commutative side sums the
+    letter images of the quotient words per (last factor, direct-sum
+    element) state in `psi_supports`, which is exact because psi . phi
+    is additive.  Each target is counted by `word_counts`: its factors
+    are strongly regular (FactorRegistry checks it), so each has exactly
+    one identity and n - 1 letters.
+
+    Every image word is a reduced word over its target registry, of
+    length <= max_len.  `project` multiplies one embedded letter (or the
+    empty word) per base letter, and each `multiply` step adds at most
+    one letter and returns reduced words: a boundary product keeps one
+    non-identity letter between letters of other factors, and an
+    identity member is dropped only when the letters cancel.  So the
+    images lie among the target's words, and a covering flag is true
+    exactly when the per-length counts are equal.
+
+    More than `DEFAULT_WORD_BUDGET` base words raises `BudgetExceeded`,
+    as `enumerate_words` would.  A quotient factor never has more
+    letters than its base factor, so no target has more words.
     """
     if len(factors) != len(subs):
         raise errors.ShapeMismatch("one subhypergroup per factor required")
     base = FactorRegistry(factors)
-    quots = [quotient_hypergroup(H, K) for H, K in zip(factors, subs)]
-    qreg = FactorRegistry(quots)
+    qreg, coset_maps = _quotient_registry(factors, subs)
     budget = DEFAULT_WORD_BUDGET
     if sum(word_counts([H.n - 1 for H in factors], max_len)) > budget:
         raise errors.BudgetExceeded(
             f"more than {budget} words below length {max_len}"
         )
-    q_words = enumerate_words(qreg, max_len, budget)
-    coset_maps = [
-        congruence_mod(H, K).class_of for H, K in zip(factors, subs)
-    ]
 
     # Words over the quotient factors vs coset images of base words.
     states = image_counts(base, qreg, coset_maps, max_len)
@@ -602,10 +624,12 @@ def quotient_conjecture_report(
         sum(x != base.identities[i] for x in K) for i, K in enumerate(subs)
     ]
     sub_words = sum(word_counts(sub_sizes, max_len))
+    q_counts = _target_counts(qreg, max_len)
+    covered_counts = _counts_by_length(_word_lengths(covered), max_len)
     formula_product = {
-        "quotient_word_counts": _counts_by_length(_word_lengths(q_words), max_len),
-        "covered_image_counts": _counts_by_length(_word_lengths(covered), max_len),
-        "all_quotient_words_covered": set(q_words) <= covered,
+        "quotient_word_counts": q_counts,
+        "covered_image_counts": covered_counts,
+        "all_quotient_words_covered": covered_counts == q_counts,
         "base_words_with_identity_image": kernel_images,
         "sub_product_words": sub_words,
     }
@@ -616,13 +640,7 @@ def quotient_conjecture_report(
         hyperproduct(H, base.kernels[i], K)
         for i, (H, K) in enumerate(zip(factors, subs))
     ]
-    fund_targets = [
-        quotient_hypergroup(H, L) for H, L in zip(factors, lifted)
-    ]
-    treg = FactorRegistry(fund_targets)
-    fund_maps = [
-        congruence_mod(H, L).class_of for H, L in zip(factors, lifted)
-    ]
+    treg, fund_maps = _quotient_registry(factors, lifted)
     # The canonical map sends the fundamental class of x's coset modulo
     # K_i to the class of x's coset modulo S_i K_i.
     per_factor_iso = all(
@@ -638,12 +656,13 @@ def quotient_conjecture_report(
         min(image, key=ReducedWord.sort_key)
         for _, image in image_counts(base, treg, fund_maps, max_len)
     }
-    t_words = enumerate_words(treg, max_len, budget)
+    t_counts = _target_counts(treg, max_len)
+    fund_counts = _counts_by_length(_word_lengths(distinct_fund), max_len)
     formula_fund = {
         "per_factor_quotients_isomorphic": per_factor_iso,
-        "target_word_counts": _counts_by_length(_word_lengths(t_words), max_len),
-        "image_word_counts": _counts_by_length(_word_lengths(distinct_fund), max_len),
-        "images_cover_targets": set(t_words) <= distinct_fund,
+        "target_word_counts": t_counts,
+        "image_word_counts": fund_counts,
+        "images_cover_targets": fund_counts == t_counts,
     }
 
     # Commutative side: distinct summed images of quotient words against
@@ -652,14 +671,9 @@ def quotient_conjecture_report(
         hyperproduct(H, kernel_S(H, gamma(H)), K)
         for H, K in zip(factors, subs)
     ]
-    gamma_targets = [
-        quotient_hypergroup(H, L) for H, L in zip(factors, gamma_lifts)
-    ]
-    greg = FactorRegistry(gamma_targets)
-    sum_images = psi_supports(qreg, max_len)
-    g_words = enumerate_words(greg, max_len, budget)
-    by_support = _counts_by_length(map(len, sum_images), max_len)
-    claimed = _counts_by_length(_word_lengths(g_words), max_len)
+    greg, _ = _quotient_registry(factors, gamma_lifts)
+    by_support = _counts_by_length(map(len, psi_supports(qreg, max_len)), max_len)
+    claimed = _target_counts(greg, max_len)
     formula_comm = {
         "summed_image_counts_by_support": by_support,
         "claimed_word_counts_by_length": claimed,

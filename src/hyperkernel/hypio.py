@@ -160,6 +160,13 @@ def _mask(cell: tuple[str, ...], index: dict[str, int], line: int | None) -> int
     return mask
 
 
+def _array(value, what: str) -> list:
+    """value when it is a JSON array; a string is never read as one."""
+    if not isinstance(value, list):
+        raise errors.ParseError(f"{what} is not an array", None)
+    return value
+
+
 def parse_hyp_json(text: str) -> HyperTable:
     try:
         doc = json.loads(text)
@@ -167,23 +174,24 @@ def parse_hyp_json(text: str) -> HyperTable:
         raise errors.ParseError(f"invalid JSON: {exc}", exc.lineno) from None
     if not isinstance(doc, dict) or "elements" not in doc or "table" not in doc:
         raise errors.ParseError("document needs 'elements' and 'table'", None)
-    labels = [str(lab) for lab in doc["elements"]]
+    labels = [str(lab) for lab in _array(doc["elements"], "'elements'")]
     seen = set()
     for lab in labels:
         _check_label(lab, None)
         if lab in seen:
             raise errors.DuplicateLabel(f"duplicate element {lab!r}", None)
         seen.add(lab)
-    table = doc["table"]
+    table = _array(doc["table"], "'table'")
     if len(table) != len(labels):
         raise errors.ParseError("table height differs from elements", None)
     rows = {}
     for lab, row in zip(labels, table):
         cells = []
-        for cell in row:
+        for cell in _array(row, f"row {lab!r}"):
             if not cell:
                 raise errors.EmptyCell(f"empty cell in row {lab!r}", None)
-            cells.append(tuple(str(tok) for tok in cell))
+            tokens = _array(cell, f"a cell in row {lab!r}")
+            cells.append(tuple(str(tok) for tok in tokens))
         rows[lab] = cells
     return _build(labels, rows, {}, doc.get("name"))
 

@@ -16,6 +16,7 @@ from hyperkernel.core import (
     ElementSet,
     HyperTable,
     Partition,
+    _require_hypergroup,
     closed_sets,
     coset_lists,
     direct_product,
@@ -23,7 +24,6 @@ from hyperkernel.core import (
     is_canonical,
     is_closed,
     is_commutative,
-    is_hypergroup,
     is_normal,
     is_subhypergroup,
     per_table,
@@ -77,8 +77,7 @@ def subhypergroups(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> Su
     system is enumerated and filtered by the reproduction law.  budget
     bounds the product-closed sets visited.
     """
-    if not is_hypergroup(H):
-        raise errors.NotAHypergroup("subhypergroup lattice requires a hypergroup")
+    _require_hypergroup(H, "subhypergroup lattice")
     s_beta = kernel_S(H, beta(H)).mask
     s_gamma = kernel_S(H, gamma(H)).mask
     entries = []
@@ -115,8 +114,7 @@ def heart(H: HyperTable) -> ElementSet:
 def derived(H: HyperTable) -> ElementSet:
     """The gamma class that is the identity of the commutative quotient:
     the smallest complete-part subhypergroup containing all division sets."""
-    if not is_hypergroup(H):
-        raise errors.NotAHypergroup("derived subhypergroup requires a hypergroup")
+    _require_hypergroup(H, "derived subhypergroup")
     return kernel_S(H, gamma(H))
 
 
@@ -127,7 +125,7 @@ def _coset_names(H: HyperTable, K: ElementSet, part: Partition) -> list[str]:
 
 
 @per_table(labelled=True)
-def quotient_hypergroup(H: HyperTable, K: ElementSet, name: str | None = None) -> HyperTable:
+def quotient_hypergroup(H: HyperTable, K: ElementSet) -> HyperTable:
     """Coset table H/K for a normal subhypergroup K.
 
     Carrier is the distinct cosets x*K ordered by least representative;
@@ -139,7 +137,7 @@ def quotient_hypergroup(H: HyperTable, K: ElementSet, name: str | None = None) -
         raise errors.NotNormal("quotient needs a normal subhypergroup")
     part = congruence_mod(H, K)
     q = quotient_by(H, part)
-    return HyperTable(_coset_names(H, K, part), q.table.rows, name=name)
+    return HyperTable(_coset_names(H, K, part), q.table.rows)
 
 
 def _coset_quotient(H: HyperTable, K: ElementSet) -> QuotientStructure | None:

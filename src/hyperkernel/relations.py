@@ -18,9 +18,9 @@ from hyperkernel.core import (
     ElementSet,
     HyperTable,
     Partition,
+    _require_hypergroup,
     closed_sets,
     coset_lists,
-    is_hypergroup,
     is_normal,
     is_subhypergroup,
     per_table,
@@ -53,8 +53,7 @@ def gamma(H: HyperTable) -> Partition:
     of beta classes lying in the coset of x modulo the commutator
     subgroup of the beta quotient.
     """
-    if not is_hypergroup(H):
-        raise errors.NotAHypergroup("gamma requires a hypergroup")
+    _require_hypergroup(H, "gamma")
     b = beta(H)
     q = quotient_by(H, b)
     if not q.is_group:
@@ -218,8 +217,7 @@ def enumerate_strongly_regular(
     p(a)p(x).  As p is onto, R is strongly regular on H exactly when
     sigma is strongly regular on G.
     """
-    if not is_hypergroup(H):
-        raise errors.NotAHypergroup("strongly regular enumeration requires a hypergroup")
+    _require_hypergroup(H, "strongly regular enumeration")
     b = beta(H)
     q = quotient_by(H, b)
     if not q.is_group:

@@ -33,6 +33,7 @@ from hyperkernel.freeprod import (
 from hyperkernel.core import (
     HyperTable,
     direct_product,
+    hyperproduct,
     identities,
     is_hypergroup,
     is_strongly_regular_hg,
@@ -563,6 +564,44 @@ class TestStateCounts:
                     assert quotient_conjecture_report(
                         *args
                     ) == oracles.quotient_conjecture_report(*args)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("h9", "v4"), ("h9", "s3"), ("h9", "h9"),
+         ("d", "z2"), ("d", "s3"), ("d", "h9")],
+    )
+    def test_images_are_target_words(self, first, second):
+        # The report counts the target words instead of listing them, and
+        # reads covering off equal counts; both need every image word to be
+        # a target word of length <= max_len.
+        tables = {**corpus.fixtures(), "d": s4_mod_double_transposition()}
+        factors = [tables[first], tables[second]]
+        base = FactorRegistry(factors)
+
+        def target(subs):
+            reg = FactorRegistry(
+                [quotient_hypergroup(H, K) for H, K in zip(factors, subs)]
+            )
+            return reg, [congruence_mod(H, K).class_of for H, K in zip(factors, subs)]
+
+        for K1 in _normal_subs(factors[0]):
+            for K2 in _normal_subs(factors[1]):
+                qreg, qmaps = target([K1, K2])
+                lifted = [
+                    hyperproduct(H, S, K)
+                    for H, S, K in zip(factors, base.kernels, [K1, K2])
+                ]
+                treg, tmaps = target(lifted)
+                for max_len in (1, 2, 3):
+                    q_states = image_counts(base, qreg, qmaps, max_len)
+                    t_states = image_counts(base, treg, tmaps, max_len)
+                    for reg, states in ((qreg, q_states), (treg, t_states)):
+                        for _, image in states:
+                            for w in image:
+                                assert make_word(reg, w.letters) == w
+                                assert len(w.letters) <= max_len
+                    covered = set().union(*(image for _, image in q_states))
+                    assert covered == set(enumerate_words(qreg, max_len))
 
     def test_matches_per_word_oracle_on_h9_h9_at_length_four(self, h9):
         K = h9.subset(["e", "a"])

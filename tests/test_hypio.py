@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hyperkernel import corpus, errors
+from hyperkernel.cli import main
 from hyperkernel.hypio import (
     emit_report,
     format_hyp,
@@ -166,6 +167,33 @@ class TestJson:
         doc = {"elements": ["a"], "table": [[[]]]}
         with pytest.raises(errors.EmptyCell):
             parse_hyp_json(json.dumps(doc))
+
+    # A string where an array belongs was read one character at a time,
+    # and a number raised TypeError.
+    @pytest.mark.parametrize(
+        "elements, table, message",
+        [
+            (["a"], [5], "row 'a' is not an array"),
+            (["a"], 3, "'table' is not an array"),
+            (["a"], {"a": [["a"]]}, "'table' is not an array"),
+            (["a"], [[5]], "a cell in row 'a' is not an array"),
+            (["a", "b"], [[["a"], ["b"]], "ba"], "row 'b' is not an array"),
+            (["a", "b"], [[["a"], "ab"], [["b"], ["a"]]], "a cell in row 'a' is not an array"),
+            ("ab", [[["a"], ["b"]], [["b"], ["a"]]], "'elements' is not an array"),
+            (5, [], "'elements' is not an array"),
+        ],
+    )
+    def test_non_arrays_are_parse_errors(self, tmp_path, capsys, elements, table, message):
+        text = json.dumps({"elements": elements, "table": table})
+        with pytest.raises(errors.ParseError) as exc:
+            parse_hyp_json(text)
+        assert type(exc.value) is errors.ParseError
+        assert str(exc.value) == message
+        assert exc.value.line is None
+        path = tmp_path / "t.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == f"hyperkernel: {message}\n"
 
     @pytest.mark.parametrize("label", ["a\n", "a b", "", "a*"])
     def test_bad_label_is_a_parse_error(self, label):

@@ -38,12 +38,12 @@ class Spy:
         return {key: k for key, k in self.calls.items() if k > 1}
 
 
-DEFAULT_LIMIT = 100
+LIMIT = 100
 RUNS = []
 
 
 @per_table
-def cells(H: HyperTable, limit: int = DEFAULT_LIMIT) -> tuple[int, ...]:
+def cells(H: HyperTable, limit: int) -> tuple[int, ...]:
     """The distinct cells of H; raises when limit is below its size."""
     RUNS.append(limit)
     if limit < H.n:
@@ -52,18 +52,10 @@ def cells(H: HyperTable, limit: int = DEFAULT_LIMIT) -> tuple[int, ...]:
 
 
 class TestPerTable:
-    def test_defaults_share_an_entry(self):
-        H = fresh(corpus.h9())
-        RUNS.clear()
-        c = cells(H)
-        assert cells(H, DEFAULT_LIMIT) is c
-        assert cells(H, limit=DEFAULT_LIMIT) is c
-        assert len(RUNS) == 1
-
     def test_other_arguments_get_their_own_entry(self):
         H = fresh(corpus.h9())
-        assert cells(H, 10_000) is not cells(H)
-        assert cells(H, 10_000) == cells(H)
+        assert cells(H, 10_000) is not cells(H, LIMIT)
+        assert cells(H, 10_000) == cells(H, LIMIT)
 
     def test_exceptions_are_not_cached(self):
         H = fresh(corpus.h9())
@@ -72,7 +64,7 @@ class TestPerTable:
             with pytest.raises(errors.BudgetExceeded):
                 cells(H, 3)
         assert len(RUNS) == 2
-        assert cells(H, 3 * DEFAULT_LIMIT) == cells(fresh(corpus.h9()))
+        assert cells(H, 3 * LIMIT) == cells(fresh(corpus.h9()), LIMIT)
 
     def test_equality_and_hash_ignore_the_memo(self):
         H = fresh(corpus.h9())
@@ -114,24 +106,21 @@ class TestPerTable:
         finally:
             gc.enable()
 
-    def test_keyword_and_positional_calls_agree(self):
-        calls = []
-
-        @per_table
+    def test_a_default_is_refused(self):
+        # f(H) and f(H, 2) would be two keys for one fact
         def f(H, a, b=2):
-            calls.append((a, b))
             return a + b
 
-        H = fresh(corpus.cyclic_group(2))
-        assert f(H, 1) == f(H, 1, 2) == f(H, a=1) == f(H, b=2, a=1) == 3
-        assert f(H, 1, 3) == 4
-        assert calls == [(1, 2), (1, 3)]
+        with pytest.raises(TypeError):
+            per_table(f)
+        with pytest.raises(TypeError):
+            per_table(labelled=True)(f)
 
     @pytest.mark.parametrize(
         "args, kwargs",
         [
-            ((1,), {"c": 3}),  # unknown keyword
-            ((), {"b": 2}),  # missing required argument
+            ((1,), {"c": 3}),  # keywords are refused
+            ((), {"b": 2}),  # a missing
             ((1, 2, 3), {}),  # too many positionals
             ((1,), {"a": 1}),  # a given twice
         ],
@@ -140,7 +129,7 @@ class TestPerTable:
         calls = []
 
         @per_table
-        def f(H, a, b=2):
+        def f(H, a, b):
             calls.append((a, b))
             return a + b
 
@@ -194,3 +183,33 @@ def test_nothing_is_shared_across_commands(capsys, monkeypatch, table_files):
         assert main(["--json", "check", table_files["h9"]]) == 0
     capsys.readouterr()
     assert spy.calls == {("assoc_witness", corpus.h9().rows): 2}
+
+
+README_COMMANDS = [
+    ("check", "h9"),
+    ("beta", "h9", "--json"),
+    ("gamma", "h9", "--oracle", "--nmax", "4"),
+    ("heart", "h9"),
+    ("derived", "s3"),
+    ("subs", "h9", "--closed", "--normal"),
+    ("quotient", "h9", "--sub", "e,a"),
+    ("product", "h9", "z2"),
+    ("sr-enum", "v4"),
+    ("freeprod", "--factors", "h9,v4", "eval", "x@0 a@1 * y@0"),
+    ("freeprod", "--factors", "s3,z4", "psi", "s@0 1@1 s@0"),
+    ("freeprod", "--factors", "h9,v4", "conjectures", "--subs", "e,a;e,a",
+     "--max-len", "2"),
+]
+
+
+def test_fixtures_take_the_memo_of_the_command_that_loads_them(capsys, monkeypatch):
+    # The README commands one after another in one process: a fixture
+    # built by an earlier command must not bring that command's memo.
+    spy = Spy(monkeypatch, "assoc_witness", "congruence_closure")
+    repeats = {}
+    for argv in README_COMMANDS:
+        spy.calls.clear()
+        assert main(list(argv)) == 0
+        repeats[argv] = spy.repeats()
+    capsys.readouterr()
+    assert repeats == {argv: {} for argv in README_COMMANDS}
