@@ -91,6 +91,8 @@ def _render(doc: dict, as_json: bool) -> str:
         else:
             if isinstance(value, list):
                 text = "{" + ",".join(str(v) for v in value) + "}"
+            elif isinstance(value, tuple):
+                text = "(" + ",".join(str(v) for v in value) + ")"
             else:
                 text = str(value)
             lines.append(prefix + text if key is not None else indent + "- " + text)
@@ -116,7 +118,7 @@ def _cmd_check(args) -> dict:
         )
     }
     witnesses = {
-        key: [H.names[v] if isinstance(v, int) else str(v) for v in val]
+        key: tuple(H.names[v] if isinstance(v, int) else str(v) for v in val)
         if isinstance(val, tuple)
         else str(val)
         for key, val in rep.witnesses.items()

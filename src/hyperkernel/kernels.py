@@ -4,17 +4,19 @@ Every function takes the table as a nested sequence of bitmasks (rows[a][b]
 is the cell a*b) and speaks plain ints and lists.  The module imports
 nothing from the package, so core and relations can build on it.
 
-The scans multiply each distinct set by the table once (_Products) and
-then only compare or merge the lists it returns, with the per-element
-work left to C.  assoc_witness gathers each row with an itemgetter over
-the interned cells and compares tuples.  congruence_closure merges the
-products of whole classes, round by round.  oracle_merge ORs whole
-lists of blocks, one length at a time, from the blocks one letter
-shorter; at its last length it merges the products of those blocks and
-links them by comparing matrices of roots with their transposes.
+The scans multiply each distinct set by the table once and then only
+compare or merge the resulting lines, with the per-element work left
+to C.  assoc_witness keeps one interned tuple per distinct cell and,
+for each middle element, compares a list of those tuples with one zip
+transpose of them.  congruence_closure merges the products of whole
+classes, round by round (_Products).  oracle_merge ORs whole lists of
+blocks, one length at a time, from the blocks one letter shorter; at
+its last length it merges the products of those blocks and links them
+by comparing matrices of roots with their transposes.
 """
 
-from operator import itemgetter, or_
+from itertools import islice
+from operator import or_
 
 
 class UnionFind:
@@ -44,11 +46,26 @@ class UnionFind:
         return [self.find(i) for i in range(len(self.parent))]
 
 
-class _Products(dict):
-    """Mask S -> the list of S*c over every column c, built on first lookup.
+def _line(rows, s):
+    """The list of S*c over every column c, for the mask S = s.
 
-    S*c is the union of the cells x*c over the members x of S, so each
-    distinct S is multiplied by the table once however often it is met.
+    S*c is the union of the cells x*c over the members x of S.
+    """
+    low = s & -s
+    line = list(rows[low.bit_length() - 1])
+    s ^= low
+    while s:
+        low = s & -s
+        line = list(map(or_, line, rows[low.bit_length() - 1]))
+        s ^= low
+    return line
+
+
+class _Products(dict):
+    """Mask S -> _line(rows, S), built on first lookup.
+
+    Each distinct S is multiplied by the table once however often it is
+    met.
     """
 
     __slots__ = ("rows",)
@@ -58,16 +75,7 @@ class _Products(dict):
         self.rows = rows
 
     def __missing__(self, s):
-        rows = self.rows
-        m = s
-        low = m & -m
-        line = list(rows[low.bit_length() - 1])
-        m ^= low
-        while m:
-            low = m & -m
-            line = list(map(or_, line, rows[low.bit_length() - 1]))
-            m ^= low
-        self[s] = line
+        line = self[s] = _line(self.rows, s)
         return line
 
 
@@ -86,38 +94,46 @@ def assoc_witness(rows, n):
     """Least triple (packed a*n*n + b*n + c) breaking associativity, or -1.
 
     The distinct cells S_0, S_1, ... are interned: sym[a][b] is the id of
-    the cell a*b, right[i] is the tuple of S_i*c over c, and left[a] is
-    the tuple of a*S_i over i.  Then (a*b)*c == a*(b*c) for every c
-    exactly when right[sym[a][b]] equals left[a] gathered along the ids
-    sym[b], so each pair (a, b) costs one itemgetter call and one tuple
-    comparison.  Equal masks in right and left are one interned object,
-    so that comparison mostly stops at identity.  Pairs go in (a, b)
-    order and the first unequal one yields its least c.
+    the cell a*b, right[i] is the tuple of S_i*c over every c, and
+    left[i] the tuple of a*S_i over every a.  For one middle element b,
+    row a of the matrix (a*b)*c is right[sym[a][b]], and row a of the
+    matrix a*(b*c) is row a of the transpose (zip) of the lines
+    left[sym[b][c]] over c.  So each b costs one C-level transpose and
+    one list comparison.  All masks are interned in one dict, so that
+    comparison mostly stops at identity.  When the rows equal the
+    columns, S*c == c*S for every S and c, and right serves as left.
+
+    The middle elements go in ascending order and `least` is the least
+    a of a failing triple found so far.  A triple with a larger a, or
+    the same a and a later b, is not smaller, so for each b only the
+    first `least` rows are compared; on a mismatch the first unequal
+    row gives the new a and its first unequal entry the c.
     """
     ids = {}
     sym = [[ids.setdefault(cell, len(ids)) for cell in row] for row in rows]
     canon = {}
 
-    def interned(line):
-        return tuple(map(canon.setdefault, line, line))
+    def lines(table):
+        out = []
+        for s in ids:
+            line = _line(table, s)
+            out.append(tuple(map(canon.setdefault, line, line)))
+        return out
 
-    right = list(map(interned, map(_Products(rows).__getitem__, ids)))
-    by_column = _Products(list(zip(*rows)))
-    left = list(map(interned, zip(*map(by_column.__getitem__, ids))))
-    if n == 1:
-        # a one-index itemgetter returns the item, not a 1-tuple
-        gathers = [lambda line: (line[0],)]
-    else:
-        gathers = [itemgetter(*ids_b) for ids_b in sym]
-    for a, left_a in enumerate(left):
-        sym_a = sym[a]
-        for b, gather in enumerate(gathers):
-            ab_c = right[sym_a[b]]
-            a_bc = gather(left_a)
-            if ab_c != a_bc:
-                c = next(c for c in range(n) if ab_c[c] != a_bc[c])
-                return (a * n + b) * n + c
-    return -1
+    right = lines(rows)
+    columns = list(zip(*rows))
+    left = right if columns == list(map(tuple, rows)) else lines(columns)
+    least, witness = n, -1
+    for b, (column_b, sym_b) in enumerate(zip(zip(*sym), sym)):
+        ab_c = list(map(right.__getitem__, column_b[:least]))
+        a_bc = list(islice(zip(*map(left.__getitem__, sym_b)), least))
+        if ab_c != a_bc:
+            a = next(a for a in range(least) if ab_c[a] != a_bc[a])
+            c = next(c for c in range(n) if ab_c[a][c] != a_bc[a][c])
+            least, witness = a, (a * n + b) * n + c
+            if not a:
+                break
+    return witness
 
 
 def congruence_closure(rows, n):

@@ -31,13 +31,16 @@ quotient_group here are the direct routes on an integer Cayley table
 read off the cells: closure under products and inverses, left cosets
 of a checked normal subgroup, and least-index coset representatives.
 
-The library scans associativity over interned cells (group tables
-too, on their singleton cells), builds the permuted-product blocks of
+The library scans associativity one middle element at a time, over
+interned lines of the distinct cells and their transposes, keeping the
+least failing triple found so far (group tables too, on their
+singleton cells); it builds the permuted-product blocks of
 gamma_oracle length by length and multiplies direct-product cells by
-spreading the first factor's masks; assoc_witness, group_table_error,
+spreading the first factor's masks.  assoc_witness, group_table_error,
 blocks, oracle_merge and direct_product here are the direct routes: a
-loop over every triple, a product of every distinct ordering of every
-multiset, and one bit per pair of members.
+loop over every triple in (a, b, c) order that stops at the first
+failure, a product of every distinct ordering of every multiset, and
+one bit per pair of members.
 
 The library counts the letterwise images of the base words of a free
 product per distinct state, and sums the direct-sum images of the

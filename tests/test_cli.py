@@ -50,6 +50,18 @@ class TestCheck:
         assert doc["flags"]["is_hypergroup"]
         assert not doc["flags"]["is_canonical"]
 
+    def test_text_witnesses_are_ordered_tuples(self, capsys, tmp_path):
+        # (a*b)*b = {a,b} but a*(b*b) = {a}; the JSON keeps arrays
+        path = tmp_path / "two.hyp"
+        path.write_text("elements: a b\nrow a: {a} {a,b}\nrow b: {b} {a}\n", encoding="utf-8")
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0
+        assert "  is_semihypergroup: (a,b,b)\n" in out
+        assert "  is_commutative: (a,b)\n" in out
+        assert "elements: {a,b}\n" in out
+        _, out, _ = run(capsys, "--json", "check", str(path))
+        assert json.loads(out)["witnesses"]["is_semihypergroup"] == ["a", "b", "b"]
+
 
 class TestBetaGamma:
     def test_beta_h9_classes(self, capsys):

@@ -2,6 +2,7 @@
 carriers wider than 64 and 128 bits."""
 
 import random
+import tracemalloc
 
 import generators
 import oracles
@@ -174,6 +175,60 @@ def test_assoc_witness_past_the_first_row():
     packed = kernels.assoc_witness(T.rows, T.n)
     assert packed == oracles.assoc_witness(T.rows, T.n)
     assert packed // (T.n * T.n) > 0
+
+
+def _first_failing_middle(rows, n):
+    """The least b of any triple (a, b, c) breaking associativity, or None."""
+
+    def times(s, t):
+        out = 0
+        for x in bits(s):
+            for y in bits(t):
+                out |= rows[x][y]
+        return out
+
+    for b in range(n):
+        for a in range(n):
+            for c in range(n):
+                if times(rows[a][b], 1 << c) != times(1 << a, rows[b][c]):
+                    return b
+    return None
+
+
+def test_assoc_witness_past_the_first_failing_middle():
+    # a scan that stopped at the first middle element b with a failing
+    # triple would miss these least triples, whose b comes later; the
+    # symmetric widenings keep the commutative rungs commutative
+    h9 = corpus.h9()
+    fixtures = corpus.fixtures()
+    for second in ("z2", "z3", "v4", "s3"):
+        H = direct_product(h9, fixtures[second])
+        rng = random.Random(H.n)
+        for symmetric in (False, True):
+            P = _permuted(H, rng)
+            for _ in range(20):
+                a, b, x = rng.randrange(P.n), rng.randrange(P.n), rng.randrange(P.n)
+                T = _widened(P, a, b, 1 << x)
+                if symmetric:
+                    T = _widened(T, b, a, 1 << x)
+                packed = kernels.assoc_witness(T.rows, T.n)
+                assert packed == oracles.assoc_witness(T.rows, T.n), (second, a, b, x)
+                if packed >= 0 and packed // T.n % T.n != _first_failing_middle(T.rows, T.n):
+                    break
+            else:
+                assert False, (second, symmetric)
+
+
+def test_assoc_witness_memory_on_h9xh9xz2():
+    # the scan keeps one interned tuple per line, not the lists built
+    H = direct_product(direct_product(corpus.h9(), corpus.h9()), corpus.fixtures()["z2"])
+    tracemalloc.start()
+    try:
+        assert kernels.assoc_witness(H.rows, H.n) == -1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 def test_assoc_witness_above_128_bits():
