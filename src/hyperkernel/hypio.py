@@ -19,17 +19,24 @@ order a cell-by-cell parse meets them: by line and column within the
 text, then unknown labels by row in the order of the elements line.
 
 Reports serialize to canonical JSON: keys sorted, label sets sorted
-lexicographically, byte-identical for identical inputs.
+lexicographically, byte-identical for identical inputs.  The text is
+what json.dumps(sort_keys=True, indent=2, ensure_ascii=False) writes,
+but a small recursive writer produces it, since json.dumps falls back
+to its pure-Python encoder whenever it indents.  A table has few
+distinct cells, so table_doc builds one label list per distinct cell
+and shares it among the cells that hold it; those lists are read-only.
+The writer renders a list of scalars met again at the same depth once.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Sequence
 
 from hyperkernel import errors
-from hyperkernel.core import ElementSet, HyperTable, Partition, is_label
+from hyperkernel.core import ElementSet, HyperTable, Partition, bits, is_label
 
 
 def _check_label(lab: str, line: int | None) -> str:
@@ -38,13 +45,13 @@ def _check_label(lab: str, line: int | None) -> str:
     return lab
 
 
-def _cell(part: str, column: int, line: int) -> tuple[str, ...]:
-    """Labels of one cell text, the text before a '}' starting at `column`."""
+def _cell(parts: list[str], i: int, line: int) -> tuple[str, ...]:
+    """Labels of the cell text parts[i], the text before the i-th '}' of a row."""
+    part = parts[i]
     body = part.lstrip()
     if not body or body[0] != "{":
-        raise errors.ParseError(
-            f"expected '{{' at column {column + len(part) - len(body) + 1}", line
-        )
+        column = sum(map(len, parts[:i])) + i + len(part) - len(body)
+        raise errors.ParseError(f"expected '{{' at column {column + 1}", line)
     inner = body[1:].strip()
     if not inner:
         raise errors.EmptyCell("empty cell", line)
@@ -53,20 +60,22 @@ def _cell(part: str, column: int, line: int) -> tuple[str, ...]:
 
 def _parse_cells(body: str, line: int, labels_of: dict[str, tuple[str, ...]]) -> list[tuple[str, ...]]:
     """Cells of one row line; `labels_of` maps each cell text already
-    checked to its labels, so each distinct text is checked once per parse."""
+    checked to its labels, so each distinct text is checked once per parse.
+
+    A row with a new text is walked in column order and each new text is
+    checked at its first occurrence, so the first error is the one a
+    cell-by-cell parse meets; _cell works out its column only for an
+    error message.
+    """
     parts = body.split("}")
     tail = parts.pop()
     try:
         cells = list(map(labels_of.__getitem__, parts))
     except KeyError:
-        cells = []
-        column = 0
-        for part in parts:
-            cell = labels_of.get(part)
-            if cell is None:
-                cell = labels_of[part] = _cell(part, column, line)
-            cells.append(cell)
-            column += len(part) + 1
+        for i, part in enumerate(parts):
+            if part not in labels_of:
+                labels_of[part] = _cell(parts, i, line)
+        cells = list(map(labels_of.__getitem__, parts))
     rest = tail.lstrip()
     if rest:
         if rest[0] == "{":
@@ -228,17 +237,66 @@ def partition_labels(names: Sequence[str], P: Partition) -> list[list[str]]:
 
 
 def table_doc(H: HyperTable) -> dict:
-    """JSON-ready document for a table, cell sets label sorted."""
+    """JSON-ready document for a table, cell sets label sorted.
+
+    All cells with one mask share one label list: read them, never change
+    them in place.
+    """
+    names = H.names
+    masks = {cell for row in H.rows for cell in row}
+    labels = {m: sorted(map(names.__getitem__, bits(m))) for m in masks}
     return {
-        "elements": list(H.names),
-        "table": [
-            [set_labels(H.names, H.cell(a, b)) for b in range(H.n)]
-            for a in range(H.n)
-        ],
+        "elements": list(names),
+        "table": [list(map(labels.__getitem__, row)) for row in H.rows],
         **({"name": H.name} if H.name else {}),
     }
 
 
 def emit_report(doc: dict) -> str:
-    """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Canonical JSON: sorted keys, two-space indent, trailing newline.
+
+    The text is json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=False) for dicts with str keys, lists, tuples, str, int,
+    bool and None; any other key or value raises TypeError.
+    """
+    return _encode(doc, "\n", {}) + "\n"
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _encode(value, nl: str, seen: dict) -> str:
+    """value as JSON text whose lines after the first start with `nl`.
+
+    `seen` maps an indent to the texts of the lists and tuples of scalars
+    written at that depth, by id.  Every object written lives in the
+    report for the whole call, so an item met again at the same depth,
+    such as a shared table_doc cell, is written once.
+    """
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        memo = seen.setdefault(inner, {})
+        items = [memo.get(id(item)) or _encode(item, inner, seen) for item in value]
+        text = "[" + inner + ("," + inner).join(items) + nl + "]"
+        if not any(isinstance(item, _CONTAINERS) for item in value):
+            seen.setdefault(nl, {})[id(value)] = text
+        return text
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = nl + "  "
+        items = [encode_basestring(k) + ": " + _encode(value[k], inner, seen) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -7,12 +7,15 @@ nothing from the package, so core and relations can build on it.
 The scans multiply each distinct set by the table once and then only
 compare or merge the resulting lines, with the per-element work left
 to C.  assoc_witness keeps one interned tuple per distinct cell and,
-for each middle element, compares a list of those tuples with one zip
-transpose of them.  congruence_closure merges the products of whole
-classes, round by round (_Products).  oracle_merge ORs whole lists of
-blocks, one length at a time, from the blocks one letter shorter; at
-its last length it merges the products of those blocks and links them
-by comparing matrices of roots with their transposes.
+for each middle element b, compares a list of those tuples with one
+zip transpose of them.  On a commutative table the second matrix is
+the transpose of the first, and the least failing triple (a, b, c)
+has a <= b, so only the rows a <= b are compared.  congruence_closure
+merges the products of whole classes, round by round (_Products).
+oracle_merge ORs whole lists of blocks, one length at a time, from the
+blocks one letter shorter; at its last length it merges the products
+of those blocks and links them by comparing matrices of roots with
+their transposes.
 """
 
 from itertools import islice
@@ -108,6 +111,16 @@ def assoc_witness(rows, n):
     the same a and a later b, is not smaller, so for each b only the
     first `least` rows are compared; on a mismatch the first unequal
     row gives the new a and its first unequal entry the c.
+
+    When the rows equal the columns, only the rows a <= b are compared
+    as well.  Write F(x, y; z) = (x*y)*z, which is symmetric in x and y.
+    Then a*(b*c) = (b*c)*a = F(b, c; a), so the matrix a*(b*c) is the
+    transpose of (a*b)*c, and the triple (a, b, c) fails exactly when
+    the multiset {a, b, c} gives F(.; a) != F(.; c), each outer element
+    taken last and the other two first.  If a failing (a, b, c) had
+    b < a, then F(.; b) would differ from F(.; a) or from F(.; c), so
+    (b, c, a) or (b, a, c) would fail, and either is smaller.  So the
+    least failing triple has a <= b, and the witness stays the least.
     """
     ids = {}
     sym = [[ids.setdefault(cell, len(ids)) for cell in row] for row in rows]
@@ -122,13 +135,15 @@ def assoc_witness(rows, n):
 
     right = lines(rows)
     columns = list(zip(*rows))
-    left = right if columns == list(map(tuple, rows)) else lines(columns)
+    symmetric = columns == list(map(tuple, rows))
+    left = right if symmetric else lines(columns)
     least, witness = n, -1
     for b, (column_b, sym_b) in enumerate(zip(zip(*sym), sym)):
-        ab_c = list(map(right.__getitem__, column_b[:least]))
-        a_bc = list(islice(zip(*map(left.__getitem__, sym_b)), least))
+        limit = min(least, b + 1) if symmetric else least
+        ab_c = list(map(right.__getitem__, column_b[:limit]))
+        a_bc = list(islice(zip(*map(left.__getitem__, sym_b)), limit))
         if ab_c != a_bc:
-            a = next(a for a in range(least) if ab_c[a] != a_bc[a])
+            a = next(a for a in range(limit) if ab_c[a] != a_bc[a])
             c = next(c for c in range(n) if ab_c[a][c] != a_bc[a][c])
             least, witness = a, (a * n + b) * n + c
             if not a:

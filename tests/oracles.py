@@ -33,23 +33,27 @@ of a checked normal subgroup, and least-index coset representatives.
 
 The library scans associativity one middle element at a time, over
 interned lines of the distinct cells and their transposes, keeping the
-least failing triple found so far (group tables too, on their
-singleton cells); it builds the permuted-product blocks of
-gamma_oracle length by length and multiplies direct-product cells by
-spreading the first factor's masks.  assoc_witness, group_table_error,
-blocks, oracle_merge and direct_product here are the direct routes: a
-loop over every triple in (a, b, c) order that stops at the first
-failure, a product of every distinct ordering of every multiset, and
-one bit per pair of members.
+least failing triple found so far and, on a commutative table,
+comparing only the rows a <= b (group tables too, on their singleton
+cells); it builds the permuted-product blocks of gamma_oracle length by
+length and multiplies direct-product cells by spreading the first
+factor's masks.  assoc_witness, group_table_error, blocks, oracle_merge
+and direct_product here are the direct routes: a loop over every triple
+in (a, b, c) order that stops at the first failure, a product of every
+distinct ordering of every multiset, and one bit per pair of members.
 
 The library counts the letterwise images of the base words of a free
 product per distinct state, and sums the direct-sum images of the
 quotient words per (last factor, sum) state; quotient_conjecture_report
 here lists every base word and projects each one, and maps every
 quotient word through psi_image.
+
+The library writes canonical JSON with its own writer, which renders a
+shared table cell once; emit_report here is json.dumps itself.
 Test use only.
 """
 
+import json
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 
@@ -104,6 +108,11 @@ def assoc_witness(rows, n):
                 if left != right:
                     return (a * n + b) * n + c
     return -1
+
+
+def emit_report(doc):
+    """Canonical JSON by json.dumps: sorted keys, two-space indent."""
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def blocks(rows, n, k):

@@ -1,8 +1,12 @@
 import json
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_memo import README_COMMANDS
 
-from hyperkernel import corpus, errors
+from hyperkernel import cli, corpus, errors
 from hyperkernel.cli import main
 from hyperkernel.hypio import (
     emit_report,
@@ -229,3 +233,61 @@ class TestReports:
     def test_emit_sorts_keys(self):
         out = emit_report({"b": 1, "a": 2})
         assert out.index('"a"') < out.index('"b"')
+
+
+# Labels with quotes, backslashes, control characters and non-ASCII
+_TEXT = st.text(alphabet=st.sampled_from('ab"\\\n\t\x00\x1f\x7fé✓\U0001d400'), max_size=4)
+_SCALARS = st.none() | st.booleans() | st.integers(-(2**70), 2**70) | _TEXT
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, children, max_size=4)
+    )
+
+
+_DOCS = st.recursive(_SCALARS, _containers, max_leaves=24)
+
+
+class TestWriter:
+    """emit_report against json.dumps (oracles.emit_report)."""
+
+    def test_every_cli_report(self, capsys, monkeypatch):
+        # the README commands and every fixture through the commands that
+        # take one table; each report the CLI writes goes through the spy
+        written = []
+
+        def spy(doc):
+            text = emit_report(doc)
+            assert text == oracles.emit_report(doc)
+            written.append(text)
+            return text
+
+        monkeypatch.setattr(cli, "emit_report", spy)
+        argvs = [[a for a in argv if a != "--json"] for argv in README_COMMANDS]
+        for name in sorted(corpus.FIXTURE_NAMES):
+            argvs += [[cmd, name] for cmd in ("check", "beta", "gamma", "heart", "derived", "subs", "sr-enum")]
+            argvs.append(["product", name, "z2"])
+        for argv in argvs:
+            assert main(["--json", *argv]) == 0, argv
+        capsys.readouterr()
+        assert len(written) == len(argvs)
+
+    def test_every_table_doc(self, full_corpus):
+        for name, H in full_corpus.items():
+            doc = table_doc(H)
+            assert emit_report(doc) == oracles.emit_report(doc), name
+
+    @given(_DOCS, st.lists(_SCALARS, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_random_documents(self, doc, shared):
+        # `shared` is one object at two depths and twice at one depth
+        for value in (doc, {"x": shared, "y": [doc, [shared, shared]], "z": (shared,)}):
+            assert emit_report(value) == oracles.emit_report(value)
+
+    @pytest.mark.parametrize("doc", [{1: "a"}, {"a": {None: 1}}, {"a": [{("b",): 1}]}])
+    def test_a_key_that_is_not_a_str_is_refused(self, doc):
+        with pytest.raises(TypeError):
+            emit_report(doc)

@@ -219,6 +219,33 @@ def test_assoc_witness_past_the_first_failing_middle():
                 assert False, (second, symmetric)
 
 
+def test_assoc_witness_compares_rows_up_to_the_middle_on_commutative_tables():
+    # on a commutative table the scan compares only the rows a <= b; z3
+    # with the cell 1*1 widened fails on (1, 1, 2), (1, 2, 2) and their
+    # mirrors, so its least triple lies on that edge, a = b
+    z3 = corpus.cyclic_group(3)
+    T = _widened(z3, 1, 1, 0b001)
+    assert kernels.assoc_witness(T.rows, 3) == oracles.assoc_witness(T.rows, 3) == (1 * 3 + 1) * 3 + 2
+    # commutative groups in a shuffled order with one symmetric pair of
+    # cells widened: least triples with a = b > 0, and least triples
+    # whose b comes after the first failing middle element
+    rng = random.Random(19)
+    groups = [corpus.cyclic_group(n) for n in (3, 4, 5, 6)] + [corpus.klein_four()]
+    on_edge = later = 0
+    for _ in range(600):
+        P = _permuted(rng.choice(groups), rng)
+        a, b, extra = rng.randrange(P.n), rng.randrange(P.n), rng.randrange(1, 1 << P.n)
+        T = _widened(_widened(P, a, b, extra), b, a, extra)
+        packed = kernels.assoc_witness(T.rows, T.n)
+        assert packed == oracles.assoc_witness(T.rows, T.n), T.rows
+        if packed >= 0:
+            a, b = divmod(packed // T.n, T.n)
+            assert a <= b
+            on_edge += 0 < a == b
+            later += b != _first_failing_middle(T.rows, T.n)
+    assert on_edge >= 20 and later >= 20, (on_edge, later)
+
+
 def test_assoc_witness_memory_on_h9xh9xz2():
     # the scan keeps one interned tuple per line, not the lists built
     H = direct_product(direct_product(corpus.h9(), corpus.h9()), corpus.fixtures()["z2"])
