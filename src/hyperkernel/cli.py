@@ -104,23 +104,9 @@ def _render(doc: dict, as_json: bool) -> str:
 def _cmd_check(args) -> dict:
     H = _load(args.table)
     rep = core.structure_report(H)
-    flags = {
-        name: getattr(rep, name)
-        for name in (
-            "is_semihypergroup",
-            "is_quasihypergroup",
-            "is_hypergroup",
-            "is_commutative",
-            "is_canonical",
-            "is_regular_hg",
-            "is_strongly_regular_hg",
-            "is_polygroup",
-        )
-    }
+    flags = {name: getattr(rep, name) for name in rep._fields if name.startswith("is_")}
     witnesses = {
-        key: tuple(H.names[v] if isinstance(v, int) else str(v) for v in val)
-        if isinstance(val, tuple)
-        else str(val)
+        key: tuple(H.names[v] if isinstance(v, int) else v for v in val)
         for key, val in rep.witnesses.items()
     }
     return {

@@ -4,6 +4,11 @@ Elements are integers 0..n-1 indexing a label list; subsets of the
 carrier are bitmasks wrapped in ElementSet.  A HyperTable is an n x n
 grid of nonempty subsets: rows[a][b] is the value of a*b.  Everything is
 immutable after construction and all operations are pure functions.
+
+Each structural class (hypergroup, regular, strongly regular, polygroup,
+canonical) has one witness function: None when the class holds, else
+the witness `check` prints.  The is_* predicates and structure_report
+only read them.
 """
 
 from __future__ import annotations
@@ -415,8 +420,20 @@ def is_quasihypergroup(H: HyperTable) -> tuple[bool, int | None]:
     return True, None
 
 
+@per_table
+def hypergroup_witness(H: HyperTable) -> tuple | None:
+    """None on an associative, reproductive table; else the least
+    failing triple of associativity, or (a,) for the least a that breaks
+    reproduction."""
+    semi, triple = is_semihypergroup(H)
+    if not semi:
+        return triple
+    quasi, a = is_quasihypergroup(H)
+    return None if quasi else (a,)
+
+
 def is_hypergroup(H: HyperTable) -> bool:
-    return is_semihypergroup(H)[0] and is_quasihypergroup(H)[0]
+    return hypergroup_witness(H) is None
 
 
 def commutativity_witness(H: HyperTable) -> tuple[int, int] | None:
@@ -462,60 +479,105 @@ def inverse_candidates(H: HyperTable, x: int) -> tuple[ElementSet, ElementSet, E
     return ElementSet(H.n, cl), ElementSet(H.n, cr), ElementSet(H.n, cl & cr)
 
 
-def _require_hypergroup(H: HyperTable, what: str) -> None:
-    if not is_hypergroup(H):
-        raise errors.NotAHypergroup(f"{what} requires a hypergroup")
+@per_table
+def _inverse_sets(H: HyperTable) -> tuple[int, ...]:
+    """The mask of C(x) for every x."""
+    return tuple(inverse_candidates(H, x)[2].mask for x in range(H.n))
 
 
-def is_regular_hg(H: HyperTable) -> bool:
-    """Identities exist and every element has at least one inverse."""
-    _require_hypergroup(H, "operation")
-    return bool(identities(H)) and all(inverse_candidates(H, x)[2] for x in range(H.n))
-
-
-def is_strongly_regular_hg(H: HyperTable) -> bool:
-    """Identities exist and every element has exactly one inverse."""
-    _require_hypergroup(H, "operation")
-    return bool(identities(H)) and all(
-        len(inverse_candidates(H, x)[2]) == 1 for x in range(H.n)
-    )
+def _lacking_inverse(H: HyperTable, unique: bool) -> int | None:
+    """The least x whose C(x) is empty or, with unique, not a singleton."""
+    bad = (x for x, c in enumerate(_inverse_sets(H)) if not c or unique and c & (c - 1))
+    return next(bad, None)
 
 
 @per_table
 def unique_inverses(H: HyperTable) -> tuple[int, ...] | None:
     """Map x -> its unique inverse, or None if any C(x) is not a singleton."""
-    cands = [inverse_candidates(H, x)[2] for x in range(H.n)]
-    if any(len(c) != 1 for c in cands):
-        return None
-    return tuple(c.indices()[0] for c in cands)
+    if _lacking_inverse(H, True) is None:
+        return tuple(c.bit_length() - 1 for c in _inverse_sets(H))
+    return None
 
 
-def _reversibility_witness(
-    H: HyperTable, inv: Sequence[int]
-) -> tuple[int, int, int] | None:
-    """Least (x, y, z) with x in y*z but z not in inv(y)*x or y not in x*inv(z)."""
+def _require_hypergroup(H: HyperTable, what: str) -> None:
+    if not is_hypergroup(H):
+        raise errors.NotAHypergroup(f"{what} requires a hypergroup")
+
+
+def _inverse_witness(H: HyperTable, unique: bool) -> tuple | None:
+    w = hypergroup_witness(H)
+    if w is not None:
+        return w
+    if not identities(H):
+        return ("no identities",)
+    x = _lacking_inverse(H, unique)
+    return None if x is None else (x,)
+
+
+@per_table
+def regular_witness(H: HyperTable) -> tuple | None:
+    """None on a hypergroup with identities and every C(x) nonempty;
+    else the hypergroup witness, ("no identities",) or (x,) for the
+    least x without an inverse."""
+    return _inverse_witness(H, False)
+
+
+@per_table
+def strongly_regular_witness(H: HyperTable) -> tuple | None:
+    """As regular_witness, with every C(x) a singleton."""
+    return _inverse_witness(H, True)
+
+
+@per_table
+def polygroup_witness(H: HyperTable) -> tuple | None:
+    """None on a hypergroup with a scalar identity, unique inverses and
+    reversibility; else the hypergroup witness, ("no scalar identity",),
+    ("non-unique inverse", x), or ("reversibility", x, y, z) for the
+    least (y, z), then x, with x in y*z but z not in inv(y)*x or y not
+    in x*inv(z)."""
+    w = hypergroup_witness(H)
+    if w is not None:
+        return w
+    if scalar_identity(H) is None:
+        return ("no scalar identity",)
+    inv = unique_inverses(H)
+    if inv is None:
+        return ("non-unique inverse", _lacking_inverse(H, True))
+    rows = H.rows
     for y in range(H.n):
         for z in range(H.n):
-            cell = H.rows[y][z]
-            for x in bits(cell):
-                if not H.rows[inv[y]][x] >> z & 1:
-                    return (x, y, z)
-                if not H.rows[x][inv[z]] >> y & 1:
-                    return (x, y, z)
+            for x in bits(rows[y][z]):
+                if not rows[inv[y]][x] >> z & 1 or not rows[x][inv[z]] >> y & 1:
+                    return ("reversibility", x, y, z)
     return None
+
+
+def canonical_witness(H: HyperTable) -> tuple | None:
+    """None on a commutative polygroup; else the commutativity witness
+    or the polygroup witness."""
+    return commutativity_witness(H) or polygroup_witness(H)
+
+
+def is_regular_hg(H: HyperTable) -> bool:
+    """Identities exist and every element has at least one inverse."""
+    _require_hypergroup(H, "operation")
+    return regular_witness(H) is None
+
+
+def is_strongly_regular_hg(H: HyperTable) -> bool:
+    """Identities exist and every element has exactly one inverse."""
+    _require_hypergroup(H, "operation")
+    return strongly_regular_witness(H) is None
 
 
 def is_polygroup(H: HyperTable) -> bool:
     """Hypergroup with scalar identity, unique inverses, and reversibility."""
-    if not is_hypergroup(H) or scalar_identity(H) is None:
-        return False
-    inv = unique_inverses(H)
-    return inv is not None and _reversibility_witness(H, inv) is None
+    return polygroup_witness(H) is None
 
 
 def is_canonical(H: HyperTable) -> bool:
     """Commutative polygroup."""
-    return is_commutative(H) and is_polygroup(H)
+    return canonical_witness(H) is None
 
 
 def coset_lists(H: HyperTable, km: int) -> tuple[list[int], list[int]]:
@@ -637,23 +699,6 @@ def is_normal(H: HyperTable, K: ElementSet, lists=None) -> bool:
     return kx == xk
 
 
-def is_conjugable(H: HyperTable, K: ElementSet, lists=None) -> bool:
-    """Both-sided conjugability of K.
-
-    Whenever a member of K appears in k*x or x*k for some k in K, x must
-    lie in K and some x' must satisfy x'*x inside K.
-
-    On a product-closed K (K*K inside K) this equals is_closed.  The
-    hits outside K are what is_closed forbids, and every hit x inside K
-    has x' = x, since x*x is inside K.
-    """
-    km = K.mask
-    hits = _hits(km, *(lists or coset_lists(H, km)))
-    columns = _columns(H)
-    outside_ok = km != 0 and hits | km == km
-    return outside_ok and all(any(c | km == km for c in columns[x]) for x in bits(hits))
-
-
 def from_group(table: Sequence[Sequence[int]], names: Sequence[str] | None = None,
                name: str | None = None) -> HyperTable:
     """Lift a single-valued group table to singleton hyperoperation cells."""
@@ -691,66 +736,20 @@ def direct_product(H1: HyperTable, H2: HyperTable, name: str | None = None) -> H
 
 
 def structure_report(H: HyperTable) -> StructureReport:
-    """Evaluate every structural predicate once, collecting witnesses."""
-    witnesses: dict = {}
-    semi, w_assoc = is_semihypergroup(H)
-    if not semi:
-        witnesses["is_semihypergroup"] = w_assoc
-    quasi, w_rep = is_quasihypergroup(H)
-    if not quasi:
-        witnesses["is_quasihypergroup"] = (w_rep,)
-    hg = semi and quasi
-    if not hg:
-        witnesses["is_hypergroup"] = witnesses.get(
-            "is_semihypergroup", witnesses.get("is_quasihypergroup")
-        )
-    comm_w = commutativity_witness(H)
-    comm = comm_w is None
-    if not comm:
-        witnesses["is_commutative"] = comm_w
-    idents = identities(H)
-    regular = strongly = poly = False
-    if not hg:
-        for key in ("is_regular_hg", "is_strongly_regular_hg", "is_polygroup"):
-            witnesses[key] = witnesses["is_hypergroup"]
-    else:
-        cands = [inverse_candidates(H, x)[2] for x in range(H.n)]
-        no_inverse = next((x for x, c in enumerate(cands) if not c), None)
-        not_unique = next((x for x, c in enumerate(cands) if len(c) != 1), None)
-        if not idents:
-            witnesses["is_regular_hg"] = ("no identities",)
-            witnesses["is_strongly_regular_hg"] = ("no identities",)
-        else:
-            regular = no_inverse is None
-            strongly = not_unique is None
-            if not regular:
-                witnesses["is_regular_hg"] = (no_inverse,)
-            if not strongly:
-                witnesses["is_strongly_regular_hg"] = (not_unique,)
-        if scalar_identity(H) is None:
-            witnesses["is_polygroup"] = ("no scalar identity",)
-        elif not strongly:
-            witnesses["is_polygroup"] = ("non-unique inverse", not_unique)
-        else:
-            rev = _reversibility_witness(H, [c.indices()[0] for c in cands])
-            if rev is not None:
-                witnesses["is_polygroup"] = ("reversibility",) + rev
-            else:
-                poly = True
-    canon = poly and comm
-    if not canon:
-        witnesses["is_canonical"] = witnesses.get(
-            "is_commutative", witnesses.get("is_polygroup")
-        )
+    """Every flag with its witness, read from the witness functions."""
+    quasi, a = is_quasihypergroup(H)
+    found = {
+        "is_semihypergroup": is_semihypergroup(H)[1],
+        "is_quasihypergroup": None if quasi else (a,),
+        "is_hypergroup": hypergroup_witness(H),
+        "is_commutative": commutativity_witness(H),
+        "is_canonical": canonical_witness(H),
+        "is_regular_hg": regular_witness(H),
+        "is_strongly_regular_hg": strongly_regular_witness(H),
+        "is_polygroup": polygroup_witness(H),
+    }
     return StructureReport(
-        is_semihypergroup=semi,
-        is_quasihypergroup=quasi,
-        is_hypergroup=hg,
-        is_commutative=comm,
-        is_canonical=canon,
-        is_regular_hg=regular,
-        is_strongly_regular_hg=strongly,
-        is_polygroup=poly,
-        identities=idents,
-        witnesses=witnesses,
+        **{flag: w is None for flag, w in found.items()},
+        identities=identities(H),
+        witnesses={flag: w for flag, w in found.items() if w is not None},
     )

@@ -37,22 +37,21 @@ from typing import Iterable, NamedTuple, Sequence
 from hyperkernel import errors
 from hyperkernel.core import (
     HyperTable,
-    _require_hypergroup,
     bits,
     hyperproduct,
     identities,
     is_polygroup,
+    is_strongly_regular_hg,
     scalar_identity,
     unique_inverses,
 )
 from hyperkernel.groups import inverses, isomorphic, products
-from hyperkernel.quotients import quotient_hypergroup
+from hyperkernel.quotients import derived, heart, quotient_hypergroup
 from hyperkernel.relations import (
-    Partition,
     beta,
     congruence_mod,
+    fundamental_group,
     gamma,
-    kernel_S,
     quotient_by,
 )
 
@@ -102,33 +101,20 @@ class FactorRegistry:
         self.factors = tuple(factors)
         if not self.factors:
             raise errors.ShapeMismatch("registry needs at least one factor")
-        inverse_maps = []
-        betas: list[Partition] = []
-        fundamental: list[HyperTable] = []
         for i, H in enumerate(self.factors):
-            _require_hypergroup(H, "operation")
-            # Without identities every C(x) is empty, so unique inverses
-            # alone decide strong regularity.
-            inverse_maps.append(unique_inverses(H))
-            if inverse_maps[-1] is None:
+            if not is_strongly_regular_hg(H):
                 raise errors.NotStronglyRegular(
                     f"factor {i} is not a strongly regular hypergroup"
                 )
-            b = beta(H)
-            betas.append(b)
-            q = quotient_by(H, b)
-            if not q.is_group:
-                raise errors.NotStronglyRegular(f"factor {i} has no fundamental group")
-            fundamental.append(q.table)
         # Strong regularity makes both unique: two identities would each
         # lie in the other's inverse set C(x).
         self.identities = tuple(identities(H).indices()[0] for H in self.factors)
-        self.inverses = tuple(inverse_maps)
-        self.betas = tuple(betas)
-        self.kernels = tuple(
-            b.classes[scalar_identity(G)] for b, G in zip(betas, fundamental)
+        self.inverses = tuple(unique_inverses(H) for H in self.factors)
+        self.betas = tuple(beta(H) for H in self.factors)
+        self.kernels = tuple(heart(H) for H in self.factors)
+        self.fundamental_groups = tuple(
+            fundamental_group(H, "operation") for H in self.factors
         )
-        self.fundamental_groups = tuple(fundamental)
         self._fundamental_registry: "FactorRegistry | None" = None
         self._direct_sum_family: DirectSumFamily | None = None
 
@@ -463,6 +449,24 @@ def word_counts(sizes: Sequence[int], max_len: int) -> list[int]:
     return counts
 
 
+def _word_total(sizes: Sequence[int], max_len: int, cap: int) -> int:
+    """sum(word_counts(sizes, max_len)), counted only until it passes cap.
+
+    Each layer of counts by last factor is a function of the one before,
+    so a layer that repeats repeats to the end and is summed in closed
+    form; every other layer sequence grows geometrically."""
+    total, ending, count = 1, [0] * len(sizes), 1
+    for k in range(max_len):
+        nxt = [m * (count - e) for m, e in zip(sizes, ending)]
+        if nxt == ending:
+            return total + (max_len - k) * sum(nxt)
+        ending, count = nxt, sum(nxt)
+        total += count
+        if total > cap:
+            break
+    return total
+
+
 def image_counts(
     base: FactorRegistry,
     target: FactorRegistry,
@@ -609,7 +613,7 @@ def quotient_conjecture_report(
     base = FactorRegistry(factors)
     qreg, coset_maps = _quotient_registry(factors, subs)
     budget = DEFAULT_WORD_BUDGET
-    if sum(word_counts([H.n - 1 for H in factors], max_len)) > budget:
+    if _word_total([H.n - 1 for H in factors], max_len, budget) > budget:
         raise errors.BudgetExceeded(
             f"more than {budget} words below length {max_len}"
         )
@@ -667,10 +671,7 @@ def quotient_conjecture_report(
 
     # Commutative side: distinct summed images of quotient words against
     # reduced words over the factors H_i/(S_gamma_i K_i).
-    gamma_lifts = [
-        hyperproduct(H, kernel_S(H, gamma(H)), K)
-        for H, K in zip(factors, subs)
-    ]
+    gamma_lifts = [hyperproduct(H, derived(H), K) for H, K in zip(factors, subs)]
     greg, _ = _quotient_registry(factors, gamma_lifts)
     by_support = _counts_by_length(map(len, psi_supports(qreg, max_len)), max_len)
     claimed = _target_counts(greg, max_len)

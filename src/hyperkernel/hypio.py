@@ -179,8 +179,8 @@ def _array(value, what: str) -> list:
 def parse_hyp_json(text: str) -> HyperTable:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise errors.ParseError(f"invalid JSON: {exc}", exc.lineno) from None
+    except (RecursionError, ValueError) as exc:  # also too deep, or an integer too long
+        raise errors.ParseError(f"invalid JSON: {exc}", getattr(exc, "lineno", None)) from None
     if not isinstance(doc, dict) or "elements" not in doc or "table" not in doc:
         raise errors.ParseError("document needs 'elements' and 'table'", None)
     labels = [str(lab) for lab in _array(doc["elements"], "'elements'")]
@@ -207,7 +207,10 @@ def parse_hyp_json(text: str) -> HyperTable:
 
 def load_table(path: str | Path) -> HyperTable:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise errors.ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", None) from None
     if path.suffix == ".json":
         return parse_hyp_json(text)
     return parse_hyp(text)

@@ -54,6 +54,11 @@ def is_complete_part(H: HyperTable, C: ElementSet) -> bool:
 
 
 class SubEntry(NamedTuple):
+    """A subhypergroup K with its flags.  conjugable is closed: K is
+    conjugable when each x with k*x or x*k meeting K (k in K) lies in K
+    and has an x' with x'*x inside K.  On a product-closed K the first
+    half is closedness, and the second holds with x' = x."""
+
     members: ElementSet
     closed: bool
     normal: bool
@@ -78,8 +83,7 @@ def subhypergroups(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> Su
     bounds the product-closed sets visited.
     """
     _require_hypergroup(H, "subhypergroup lattice")
-    s_beta = kernel_S(H, beta(H)).mask
-    s_gamma = kernel_S(H, gamma(H)).mask
+    s_beta, s_gamma = heart(H).mask, derived(H).mask
     entries = []
     for mask in closed_sets(H.n, product_closure(H), budget, "subhypergroup lattice"):
         K = ElementSet(H.n, mask)
@@ -93,7 +97,7 @@ def subhypergroups(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> Su
                 closed=closed,
                 normal=is_normal(H, K, lists),
                 complete_part=is_complete_part(H, K),
-                conjugable=closed,  # equal on product-closed sets: is_conjugable
+                conjugable=closed,
                 contains_S_beta=mask | s_beta == mask,
                 contains_S_gamma=mask | s_gamma == mask,
             )
@@ -283,9 +287,7 @@ def product_identities_check(H1: HyperTable, H2: HyperTable) -> ProductIdentitie
     class of a pair to the pair of gamma classes of its coordinates.
     """
     P = direct_product(H1, H2)
-    sp = kernel_S(P, beta(P))
-    s1 = kernel_S(H1, beta(H1))
-    s2 = kernel_S(H2, beta(H2))
+    sp, s1, s2 = heart(P), heart(H1), heart(H2)
     expected = ElementSet.from_indices(
         P.n, (i1 * H2.n + i2 for i1 in s1 for i2 in s2)
     )

@@ -53,13 +53,8 @@ def gamma(H: HyperTable) -> Partition:
     of beta classes lying in the coset of x modulo the commutator
     subgroup of the beta quotient.
     """
-    _require_hypergroup(H, "gamma")
-    b = beta(H)
-    q = quotient_by(H, b)
-    if not q.is_group:
-        raise errors.NotStronglyRegular("beta quotient failed to be a group")
-    sigma = congruence_mod(q.table, commutator_subgroup(q.table))
-    return pullback(sigma, b)
+    G = fundamental_group(H, "gamma")
+    return pullback(congruence_mod(G, commutator_subgroup(G)), beta(H))
 
 
 def gamma_oracle(
@@ -77,13 +72,18 @@ def gamma_oracle(
     the kernel builds blocks only for the multisets shorter than nmax,
     and at nmax merges their products by each letter and compares one
     root matrix per multiset of length nmax - 2 with its transpose.
+    The count stops at the first length k whose total passes the budget,
+    and the refusal names that k; for n = 1 the total is nmax.
     """
     if nmax < 1:
         raise errors.HyperError(f"nmax must be at least 1, got {nmax}")
-    total = sum(H.n**k for k in range(1, nmax + 1))
+    total = k = nmax if H.n == 1 else 0
+    while k < nmax and total <= budget:
+        k += 1
+        total += H.n**k
     if total > budget:
         raise errors.BudgetExceeded(
-            f"{total} tuples of length <= {nmax} exceed budget {budget}"
+            f"{total} tuples of length <= {k} exceed budget {budget}"
         )
     parents = kernels.oracle_merge(H.rows, H.n, nmax)
     return Partition(H.n, parents)
@@ -152,6 +152,16 @@ def quotient_by(H: HyperTable, R: Partition) -> QuotientStructure:
     return QuotientStructure(R, table, is_group)
 
 
+def fundamental_group(H: HyperTable, what: str) -> HyperTable:
+    """H/beta, the fundamental group of the hypergroup H, needed by `what`.
+    It is a group on every hypergroup (Koskas 1970): a failure is internal."""
+    _require_hypergroup(H, what)
+    q = quotient_by(H, beta(H))
+    if not q.is_group:
+        raise errors.NotStronglyRegular("beta quotient failed to be a group")
+    return q.table
+
+
 def kernel_S(H: HyperTable, R: Partition) -> ElementSet:
     """The class acting as the identity of the quotient group.
 
@@ -217,12 +227,8 @@ def enumerate_strongly_regular(
     p(a)p(x).  As p is onto, R is strongly regular on H exactly when
     sigma is strongly regular on G.
     """
-    _require_hypergroup(H, "strongly regular enumeration")
+    G = fundamental_group(H, "strongly regular enumeration")
     b = beta(H)
-    q = quotient_by(H, b)
-    if not q.is_group:
-        raise errors.NotStronglyRegular("beta quotient failed to be a group")
-    G = q.table
     found = []
     for mask in closed_sets(G.n, product_closure(G), budget, "fundamental-group subgroups"):
         N = ElementSet(G.n, mask)

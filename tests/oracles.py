@@ -8,9 +8,17 @@ definitions of regular and strongly regular relations, not through
 hyperkernel.kernels.
 
 The library reads the subhypergroup predicates (subhypergroup, closed,
-normal, conjugable) from the two lists K*x and x*K over every x;
-is_subhypergroup, is_closed, is_normal and is_conjugable here multiply
-K by each element, bit by bit, and feed the powerset scan.
+normal) from the two lists K*x and x*K over every x; is_subhypergroup,
+is_closed and is_normal here multiply K by each element, bit by bit,
+and feed the powerset scan.  is_conjugable is the definition of
+conjugability, which the lattice copies from closed.
+
+The library decides the regular, strongly regular and polygroup classes
+by one witness function each, from the inverse sets C(x), computed once
+per table.  is_hypergroup, identities, inverse_sets, is_regular_hg,
+is_strongly_regular_hg and is_polygroup here go cell by cell: C(x)
+straight from the identities, and reversibility as a loop over every
+triple (x, y, z).
 
 The library computes beta by congruence closure, complete parts as
 unions of beta classes, and the heart and the derived subhypergroup as
@@ -254,6 +262,76 @@ def is_conjugable(H: HyperTable, K: ElementSet) -> bool:
         if not any(H.rows[xp][x] | km == km for xp in range(H.n)):
             return False
     return True
+
+
+def is_hypergroup(H: HyperTable) -> bool:
+    """Associative, and a*H = H*a = H for every a."""
+    n, rows = H.n, H.rows
+    for a in range(n):
+        left = right = 0
+        for x in range(n):
+            left |= rows[a][x]
+            right |= rows[x][a]
+        if left != H.full_mask or right != H.full_mask:
+            return False
+    return assoc_witness(rows, n) < 0
+
+
+def identities(H: HyperTable) -> list[int]:
+    """Every e with x in e*x and x in x*e for all x."""
+    n, rows = H.n, H.rows
+    return [e for e in range(n) if all(rows[e][x] >> x & 1 and rows[x][e] >> x & 1 for x in range(n))]
+
+
+def inverse_sets(H: HyperTable) -> list[set[int]]:
+    """C(x) for every x: the y with an identity in x*y and one in y*x."""
+    n, rows = H.n, H.rows
+    E = identities(H)
+    return [
+        {y for y in range(n)
+         if any(rows[x][y] >> e & 1 for e in E) and any(rows[y][x] >> e & 1 for e in E)}
+        for x in range(n)
+    ]
+
+
+def is_regular_hg(H: HyperTable) -> bool:
+    """A hypergroup with identities in which every x has an inverse."""
+    return is_hypergroup(H) and bool(identities(H)) and all(inverse_sets(H))
+
+
+def is_strongly_regular_hg(H: HyperTable) -> bool:
+    """A hypergroup with identities in which every x has exactly one inverse."""
+    sets = inverse_sets(H)
+    return is_hypergroup(H) and bool(identities(H)) and all(len(c) == 1 for c in sets)
+
+
+def is_polygroup(H: HyperTable) -> bool:
+    """A hypergroup with a scalar identity e, e*x = x*e = {x}, in which
+    every x has exactly one inverse x', and x in y*z gives z in y'*x and
+    y in x*z'."""
+    n, rows = H.n, H.rows
+    scalar = any(all(rows[e][x] == 1 << x == rows[x][e] for x in range(n)) for e in range(n))
+    sets = inverse_sets(H)
+    return (
+        is_hypergroup(H)
+        and scalar
+        and all(len(c) == 1 for c in sets)
+        and reversibility_witness(H) is None
+    )
+
+
+def reversibility_witness(H: HyperTable) -> tuple[int, int, int] | None:
+    """The first (x, y, z), by y, then z, then x, with x in y*z but z not
+    in y'*x or y not in x*z'; every C(x) must be a singleton {x'}."""
+    n, rows = H.n, H.rows
+    inv = [min(c) for c in inverse_sets(H)]
+    for y in range(n):
+        for z in range(n):
+            for x in range(n):
+                if rows[y][z] >> x & 1:
+                    if not rows[inv[y]][x] >> z & 1 or not rows[x][inv[z]] >> y & 1:
+                        return (x, y, z)
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,10 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperkernel import cli, corpus
 from hyperkernel.cli import main
-from hyperkernel.hypio import format_hyp
+from hyperkernel.hypio import emit_report, format_hyp, table_doc
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -190,6 +194,91 @@ class TestProductAndSr:
         code, _, err = run(capsys, "sr-enum", str(path))
         assert code == 1
         assert "hypergroup" in err
+
+
+class TestBadInput:
+    def test_a_table_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.hyp"
+        path.write_bytes(b"elements: e\nrow e: {\xff}\n")
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (1, "")
+        assert err == "hyperkernel: not UTF-8 text: invalid start byte at byte 20\n"
+
+    def test_json_nested_past_the_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        code, out, err = run(capsys, "beta", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("hyperkernel: invalid JSON: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
+
+class TestBudgetRefusals:
+    # Both counts stop at the budget, so a bound of 10^9 refuses at once.
+    def test_gamma_oracle(self, capsys):
+        code, _, err = run(capsys, "gamma", "h9", "--oracle", "--nmax", "1000000000")
+        assert code == 2
+        assert err == "hyperkernel: 48427560 tuples of length <= 8 exceed budget 10000000\n"
+
+    def test_conjectures(self, capsys):
+        code, _, err = run(
+            capsys, "freeprod", "--factors", "h9,v4", "conjectures",
+            "--subs", "e,a;e,a", "--max-len", "1000000000",
+        )
+        assert code == 2
+        assert err == "hyperkernel: more than 1000000 words below length 1000000000\n"
+
+
+def _mutate(data: bytes, edits, cut) -> bytes:
+    """data with each (position, deleted length, inserted bytes) edit
+    applied in turn, then cut at a position."""
+    for pos, dele, ins in edits:
+        pos %= len(data) + 1
+        data = data[:pos] + ins + data[pos + dele:]
+    return data if cut is None else data[: cut % (len(data) + 1)]
+
+
+def _garbage():
+    h9 = corpus.fixture("h9")
+    texts = {".hyp": format_hyp(h9).encode(), ".json": emit_report(table_doc(h9)).encode()}
+    edit = st.tuples(st.integers(0, 4000), st.integers(0, 6), st.binary(max_size=3))
+    mutated = st.sampled_from(sorted(texts)).flatmap(
+        lambda suffix: st.tuples(
+            st.just(suffix),
+            st.builds(_mutate, st.just(texts[suffix]), st.lists(edit, max_size=4),
+                      st.none() | st.integers(0, 4000)),
+        )
+    )
+    raw = st.tuples(st.sampled_from([".hyp", ".json"]), st.binary(max_size=80))
+    return mutated | raw
+
+
+class TestGarbageSweep:
+    @pytest.fixture(scope="class")
+    def directory(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("garbage")
+
+    def test_mutated_and_raw_files_exit_cleanly(self, directory):
+        # Mutated and truncated h9 files in both formats, and raw bytes:
+        # check and beta exit 0 or 1, and a failure is one stderr line.
+        @given(_garbage())
+        @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+        def sweep(case):
+            suffix, data = case
+            path = directory / f"table{suffix}"
+            path.write_bytes(data)
+            for command in ("check", "beta"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, str(path)])
+                lines = err.getvalue().splitlines()
+                assert code in (0, 1), (command, data)
+                if code:
+                    assert len(lines) == 1 and lines[0].startswith("hyperkernel: "), data
+                else:
+                    assert lines == [] and out.getvalue(), data
+
+        sweep()
 
 
 class TestFreeprod:

@@ -356,6 +356,12 @@ def _row_predicate_tables():
         n = rng.randint(1, 5)
         out.append(HyperTable([str(i) for i in range(n)],
                               [[rng.randrange(1, 1 << n) for _ in range(n)] for _ in range(n)]))
+    # Hypergroups with the scalar identity 0 and unique inverses that are
+    # not reversible.  The least failing triple of the first breaks z in
+    # y'*x and of the second y in x*z'; the other half fails later.
+    for rows in ([[1, 2, 4, 8], [2, 2, 6, 11], [4, 15, 15, 12], [8, 11, 15, 8]],
+                 [[1, 2, 4, 8], [2, 2, 6, 15], [4, 6, 13, 8], [8, 15, 13, 8]]):
+        out.append(HyperTable([str(i) for i in range(4)], rows))
     for G in (corpus.cyclic_group(4), corpus.klein_four(), corpus.symmetric_group_3()):
         for _ in range(20):
             rows = [list(r) for r in G.rows]
@@ -366,17 +372,42 @@ def _row_predicate_tables():
 
 
 def test_row_predicates_match_cell_loops():
-    # The axiom and identity predicates read whole rows and columns; check
-    # them, and the polygroup and regularity flags, against cell loops and
-    # structure_report on corpus, generated, random and perturbed tables.
+    # The axiom and identity predicates read whole rows and columns, and
+    # each class flag comes from one witness function; check the predicates
+    # and structure_report against cell loops and the oracles' definitions
+    # on corpus, generated, random and perturbed tables.
+    import oracles
+
+    seen = set()
     for H in _row_predicate_tables():
         quasi, scalar, comm = _cell_loop_predicates(H)
         assert is_quasihypergroup(H) == quasi, H.rows
         assert core.scalar_identity(H) == scalar, H.rows
         assert core.commutativity_witness(H) == comm, H.rows
+        expected = {
+            "is_hypergroup": oracles.is_hypergroup(H),
+            "is_regular_hg": oracles.is_regular_hg(H),
+            "is_strongly_regular_hg": oracles.is_strongly_regular_hg(H),
+            "is_polygroup": oracles.is_polygroup(H),
+        }
+        expected["is_canonical"] = expected["is_polygroup"] and comm is None
         rep = core.structure_report(H)
-        assert is_polygroup(H) == rep.is_polygroup, H.rows
-        if rep.is_hypergroup:
-            assert is_regular_hg(H) == rep.is_regular_hg, H.rows
-            assert is_strongly_regular_hg(H) == rep.is_strongly_regular_hg, H.rows
-            assert (core.unique_inverses(H) is not None) == rep.is_strongly_regular_hg
+        assert {flag: getattr(rep, flag) for flag in expected} == expected, H.rows
+        assert is_polygroup(H) == expected["is_polygroup"], H.rows
+        assert is_canonical(H) == expected["is_canonical"], H.rows
+        sets = oracles.inverse_sets(H)
+        unique = all(len(c) == 1 for c in sets)
+        assert core.unique_inverses(H) == (tuple(min(c) for c in sets) if unique else None)
+        if expected["is_hypergroup"]:
+            assert is_regular_hg(H) == expected["is_regular_hg"], H.rows
+            assert is_strongly_regular_hg(H) == expected["is_strongly_regular_hg"], H.rows
+            if oracles.identities(H):
+                no_inverse = next((x for x, c in enumerate(sets) if not c), None)
+                assert rep.witnesses.get("is_regular_hg", (None,)) == (no_inverse,)
+            if scalar is not None and unique:
+                failure = oracles.reversibility_witness(H)
+                witness = failure and ("reversibility", *failure)
+                assert rep.witnesses.get("is_polygroup") == witness, H.rows
+        seen.update(expected.items())
+    # every flag comes out both ways
+    assert len(seen) == 2 * len(expected)

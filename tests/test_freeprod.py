@@ -632,6 +632,21 @@ class TestStateCounts:
             counts = word_counts(sizes, max_len)
             assert counts == [sum(len(w.letters) == k for w in words) for k in range(max_len + 1)]
 
+    @pytest.mark.parametrize(
+        "sizes", [[8, 3], [1, 1], [1, 1, 0], [3], [0, 0], [1, 2], [2, 5, 1]]
+    )
+    def test_capped_word_total(self, sizes):
+        # the sum of word_counts below the cap, and past it at the first
+        # length that passes; a repeating layer (sizes 1, 1) or an empty
+        # one is added in closed form
+        for cap in (1, 5, 40, 10**6):
+            for max_len in range(8):
+                total = sum(word_counts(sizes, max_len))
+                capped = freeprod._word_total(sizes, max_len, cap)
+                assert capped == total if total <= cap else cap < capped <= total
+        assert freeprod._word_total([1, 1], 10**9, 10**12) == 1 + 2 * 10**9
+        assert freeprod._word_total([3, 0], 10**9, 10) == 4
+
     def test_state_counts_sum_to_the_words_they_project(self, h9):
         # Letters of a factor that share a coset are one step with their
         # multiplicity; every base word lands in exactly one state.

@@ -118,6 +118,17 @@ class TestGamma:
         with pytest.raises(errors.BudgetExceeded):
             gamma_oracle(h9, nmax=4, budget=100)
 
+    def test_oracle_budget_stops_counting_at_the_first_length_past_it(self, h9):
+        # 9 + 81 + 729 = 819 tuples of length <= 3 pass 100; nothing longer
+        # is counted, however large nmax is
+        message = "^819 tuples of length <= 3 exceed budget 100$"
+        for nmax in (3, 4, 10**9):
+            with pytest.raises(errors.BudgetExceeded, match=message):
+                gamma_oracle(h9, nmax=nmax, budget=100)
+        with pytest.raises(errors.BudgetExceeded, match="^1000000000 tuples of length <= 1000000000 "):
+            gamma_oracle(total_hypergroup(1), nmax=10**9, budget=100)
+        assert gamma_oracle(total_hypergroup(1), nmax=100, budget=100) == Partition.discrete(1)
+
     @pytest.mark.parametrize("nmax", [0, -1])
     def test_oracle_rejects_nmax_below_one(self, h9, nmax):
         with pytest.raises(errors.HyperError, match="nmax must be at least 1") as info:
