@@ -147,6 +147,8 @@ class Partition:
         class_of = [-1] * n
         for cid, members in enumerate(classes):
             for i in members:
+                if not 0 <= i < n:
+                    raise errors.ShapeMismatch(f"element {i} outside 0..{n - 1}")
                 if class_of[i] != -1:
                     raise errors.ShapeMismatch(f"element {i} in two classes")
                 class_of[i] = cid

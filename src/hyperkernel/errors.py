@@ -78,10 +78,6 @@ class AdjacentSameFactor(HyperError, ValueError):
     """Two adjacent word letters come from the same factor."""
 
 
-class FactorsNotPolygroups(HyperError, ValueError):
-    pass
-
-
 class ResourceExhausted(HyperError, RuntimeError):
     """A configured budget would be exceeded."""
 

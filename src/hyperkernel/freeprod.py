@@ -19,18 +19,17 @@ The conjecture report lists no words.  `word_counts` counts words by
 length, and `image_counts` counts the base words reaching each
 (last factor, projected word set) state, multiplying each distinct set
 by each distinct class letter once.  Its commutative side is counted by
-states too: psi . phi is a homomorphism into the direct sum, so
+states too: psi is a homomorphism into the direct sum, so
 `psi_supports` adds letter images over (last factor, direct-sum
 element) states instead of mapping each quotient word.
 
-The direct sum of the abelianized factors (`DirectSumFamily`) lives
-here, next to `psi`, its only user: the abelianization of a group G is
-the quotient G/gamma(G) of the `relations` layer.
+The direct sum of the abelian groups H_i/gamma*(H_i) (`DirectSumFamily`)
+lives here, next to `psi`, its only user; the quotient and its
+projection are those of `relations.gamma` on each factor.
 """
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -40,7 +39,6 @@ from hyperkernel.core import (
     bits,
     hyperproduct,
     identities,
-    is_polygroup,
     is_strongly_regular_hg,
     scalar_identity,
     unique_inverses,
@@ -119,8 +117,9 @@ class FactorRegistry:
         self._direct_sum_family: DirectSumFamily | None = None
 
     def letter(self, factor: int, elem: int) -> Letter:
-        H = self.factors[factor]
-        if not 0 <= elem < H.n:
+        if not 0 <= factor < len(self.factors):
+            raise errors.ShapeMismatch(f"no factor {factor} in registry")
+        if not 0 <= elem < self.factors[factor].n:
             raise errors.UnknownLabel(f"element {elem} outside factor {factor}")
         return Letter(factor, elem)
 
@@ -135,26 +134,39 @@ class FactorRegistry:
 
     def direct_sum_family(self) -> DirectSumFamily:
         if self._direct_sum_family is None:
-            self._direct_sum_family = DirectSumFamily(self.fundamental_groups)
+            self._direct_sum_family = DirectSumFamily(self.factors)
         return self._direct_sum_family
 
 
 class DirectSumFamily:
-    """Indexed family of groups with their abelianization data.
+    """Indexed family of hypergroups with their abelian quotients.
 
-    The abelianization of a group G is G/gamma(G), and the projection
-    onto it is gamma(G).  Supports finitely supported sums over the
-    abelianized factors; the stored component of a factor is an element
-    index of that factor's abelianization, never its identity.
+    The abelian quotient of a hypergroup H is H/gamma*(H), and the
+    projection onto it is gamma(H).  On a group, gamma* is the coset
+    congruence of the commutator subgroup and H/gamma* its
+    abelianization.  Supports finitely supported sums over the quotients;
+    the stored component of a factor is an element index of its
+    quotient, never its identity.
+
+    On a hypergroup, H/gamma* is the abelianization of the fundamental
+    group G = H/beta*, by the paper's decomposition gamma = delta * beta.
+    gamma* has a group quotient, so it contains beta*, the least such
+    relation, and the projection onto H/gamma* factors through G.  Its
+    image is abelian, so the kernel of G -> H/gamma* contains [G, G];
+    and the pullback of the cosets of [G, G] through beta* has the
+    abelian quotient G/[G, G], so it contains gamma*.  So gamma* is that
+    pullback, which is how `relations.gamma` computes it:
+    gamma(H).class_of[x] is the coset of beta(H).class_of[x] modulo
+    [G, G], and each class of either quotient is named by its least
+    member.
     """
 
-    __slots__ = ("groups", "abelianizations", "projections", "identities")
+    __slots__ = ("abelianizations", "projections", "identities")
 
-    def __init__(self, groups: Sequence[HyperTable]):
-        self.groups = tuple(groups)
-        gammas = [gamma(G) for G in self.groups]
+    def __init__(self, factors: Sequence[HyperTable]):
+        gammas = [gamma(H) for H in factors]
         self.abelianizations = tuple(
-            quotient_by(G, g).table for G, g in zip(self.groups, gammas)
+            quotient_by(H, g).table for H, g in zip(factors, gammas)
         )
         self.projections = tuple(g.class_of for g in gammas)
         self.identities = tuple(scalar_identity(A) for A in self.abelianizations)
@@ -164,9 +176,9 @@ class DirectSumFamily:
 
     def inject(self, factor: int, elem: int) -> "DirectSumElement":
         """Image of one factor element under projection into the sum."""
-        if not 0 <= factor < len(self.groups):
+        if not 0 <= factor < len(self.projections):
             raise errors.FamilyMismatch(f"no factor {factor}")
-        if not 0 <= elem < self.groups[factor].n:
+        if not 0 <= elem < len(self.projections[factor]):
             raise errors.FamilyMismatch(f"element {elem} outside factor {factor}")
         cls = self.projections[factor][elem]
         if cls == self.identities[factor]:
@@ -321,10 +333,6 @@ def word_product(
     return acc
 
 
-def support(w: ReducedWord) -> frozenset[Letter]:
-    return frozenset(w.letters)
-
-
 def embed(registry: FactorRegistry, factor: int, elem: int) -> ReducedWord:
     """One-letter image of a factor element; identities map to the empty word."""
     l = registry.letter(factor, elem)
@@ -376,8 +384,8 @@ def psi(family: DirectSumFamily, w: ReducedWord) -> DirectSumElement:
 
 
 def psi_image(registry: FactorRegistry, w: ReducedWord) -> DirectSumElement:
-    """Composite projection: fundamental classes first, then the sum."""
-    return psi(registry.direct_sum_family(), phi(registry, w))
+    """Image of w in the direct sum of its factors' gamma* quotients."""
+    return psi(registry.direct_sum_family(), w)
 
 
 def enumerate_words(
@@ -406,33 +414,6 @@ def enumerate_words(
         out.extend(nxt)
         layer = nxt
     return out
-
-
-def word_inverse_unique(
-    registry: FactorRegistry,
-    w: ReducedWord,
-    max_len: int,
-    budget: int = DEFAULT_WORD_BUDGET,
-    pool: Sequence[ReducedWord] | None = None,
-) -> bool:
-    """Exactly one enumerated word is a two-sided inverse, the expected one.
-
-    A candidate can only multiply to the empty word through the
-    cancellation case, so candidates whose first letter is not the
-    inverse of w's last letter (the expected word's first letter) are
-    skipped without multiplying.
-    """
-    if pool is None:
-        pool = enumerate_words(registry, max_len, budget)
-    expected = inverse_word(registry, w)
-    hits = [
-        v
-        for v in pool
-        if v.letters[:1] == expected.letters[:1]
-        and EMPTY_WORD in multiply(registry, w, v)
-        and EMPTY_WORD in multiply(registry, v, w)
-    ]
-    return hits == [expected]
 
 
 def word_counts(sizes: Sequence[int], max_len: int) -> list[int]:
@@ -511,8 +492,10 @@ def psi_supports(
 ) -> set[tuple[tuple[int, int], ...]]:
     """Distinct `psi_image` supports of the words of length <= max_len.
 
-    psi . phi is a homomorphism into the direct sum, so a word's image is
-    the sum of its letters' images projections[i][betas[i].class_of[x]].
+    psi is a homomorphism into the direct sum: gamma(H) projects each
+    member of a*b onto the sum of the images of a and b, and a
+    cancelling pair onto zero.  So a word's image is the sum of its
+    letters' images projections[i][x].
     States (last factor, componentwise sum) grow layer by layer, each
     distinct letter image once; a state reached at a shorter length is
     not grown again, since all it reaches was reached from there.
@@ -520,10 +503,9 @@ def psi_supports(
     family = registry.direct_sum_family()
     zero = family.identities
     steps = [
-        (products(A), {proj[b.class_of[x]] for x in range(H.n) if x != e})
-        for H, b, e, proj, A in zip(
-            registry.factors, registry.betas, registry.identities,
-            family.projections, family.abelianizations,
+        (products(A), {proj[x] for x in range(len(proj)) if x != e})
+        for e, proj, A in zip(
+            registry.identities, family.projections, family.abelianizations
         )
     ]
     layer = {(-1, zero)}
@@ -590,8 +572,8 @@ def quotient_conjecture_report(
     No word list is built.  The images of the base words are counted per
     distinct state by `image_counts`.  The commutative side sums the
     letter images of the quotient words per (last factor, direct-sum
-    element) state in `psi_supports`, which is exact because psi . phi
-    is additive.  Each target is counted by `word_counts`: its factors
+    element) state in `psi_supports`, which is exact because psi is
+    additive.  Each target is counted by `word_counts`: its factors
     are strongly regular (FactorRegistry checks it), so each has exactly
     one identity and n - 1 letters.
 
@@ -684,39 +666,3 @@ def quotient_conjecture_report(
     return QuotientConjectureReport(
         max_len, formula_product, formula_fund, formula_comm
     )
-
-
-class ClosureReport(NamedTuple):
-    triples_checked: int
-    failures: tuple[tuple[ReducedWord, ReducedWord, ReducedWord], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def polygroup_closure_check(
-    registry: FactorRegistry,
-    max_len: int,
-    samples: int,
-    seed: int = 0,
-) -> ClosureReport:
-    """Sampled reversibility: w1 in w2.w3 forces the two memberships back."""
-    for i, H in enumerate(registry.factors):
-        if not is_polygroup(H):
-            raise errors.FactorsNotPolygroups(f"factor {i} is not a polygroup")
-    rng = random.Random(seed)
-    pool = enumerate_words(registry, max_len)
-    failures = []
-    checked = 0
-    for _ in range(samples):
-        w2 = pool[rng.randrange(len(pool))]
-        w3 = pool[rng.randrange(len(pool))]
-        prod = sorted(multiply(registry, w2, w3), key=ReducedWord.sort_key)
-        w1 = prod[rng.randrange(len(prod))]
-        back2 = multiply(registry, w1, inverse_word(registry, w3))
-        back3 = multiply(registry, inverse_word(registry, w2), w1)
-        checked += 1
-        if w2 not in back2 or w3 not in back3:
-            failures.append((w1, w2, w3))
-    return ClosureReport(checked, tuple(failures))

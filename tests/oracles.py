@@ -54,7 +54,14 @@ The library counts the letterwise images of the base words of a free
 product per distinct state, and sums the direct-sum images of the
 quotient words per (last factor, sum) state; quotient_conjecture_report
 here lists every base word and projects each one, and maps every
-quotient word through psi_image.
+quotient word through psi_support.
+
+The library reads psi from the gamma* classes of each factor table.
+psi_support here is the composite route: phi onto the free product of
+the fundamental groups, then the cosets of their commutator subgroups.
+word_inverse_unique, polygroup_closure_check and support are the
+sampling checks of the free-product acceptance criteria, which no
+command runs.
 
 The library writes canonical JSON with its own writer, which renders a
 shared table cell once; emit_report here is json.dumps itself.
@@ -62,8 +69,10 @@ Test use only.
 """
 
 import json
+import random
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
+from typing import NamedTuple
 
 from hyperkernel import errors, freeprod, kernels, relations
 from hyperkernel.core import (
@@ -78,13 +87,16 @@ from hyperkernel.core import (
 from hyperkernel.freeprod import (
     EMPTY_WORD,
     FactorRegistry,
+    Letter,
     QuotientConjectureReport,
     ReducedWord,
     _counts_by_length,
     _word_lengths,
     enumerate_words,
+    inverse_word,
+    multiply,
+    phi,
     project,
-    psi_image,
 )
 from hyperkernel.groups import isomorphic
 from hyperkernel.quotients import SubEntry, quotient_hypergroup
@@ -694,7 +706,7 @@ def quotient_conjecture_report(
         quotient_hypergroup(H, L) for H, L in zip(factors, gamma_lifts)
     ]
     greg = FactorRegistry(gamma_targets)
-    sum_images = {psi_image(qreg, w).support for w in q_words}
+    sum_images = {psi_support(qreg, w) for w in q_words}
     g_words = enumerate_words(greg, max_len, budget)
     by_support = _counts_by_length(map(len, sum_images), max_len)
     claimed = _counts_by_length(_word_lengths(g_words), max_len)
@@ -707,3 +719,86 @@ def quotient_conjecture_report(
     return QuotientConjectureReport(
         max_len, formula_product, formula_fund, formula_comm
     )
+
+
+@lru_cache(maxsize=None)
+def _abelianization(G: HyperTable) -> tuple[GroupView, tuple[int, ...]]:
+    return GroupView(G), cosets(G, commutator_subgroup(G)).class_of
+
+
+def psi_support(registry: FactorRegistry, w: ReducedWord) -> tuple[tuple[int, int], ...]:
+    """Support of freeprod.psi_image the composite way: phi onto the free
+    product of the fundamental groups, then, for each factor, the coset
+    modulo the commutator subgroup of the product of its letters."""
+    abelian = [_abelianization(G) for G in registry.fundamental_groups]
+    prods = [V.identity for V, _ in abelian]
+    for l in phi(registry, w).letters:
+        prods[l.factor] = abelian[l.factor][0].rows[prods[l.factor]][l.elem]
+    return tuple(
+        (i, class_of[p])
+        for i, ((V, class_of), p) in enumerate(zip(abelian, prods))
+        if class_of[p] != class_of[V.identity]
+    )
+
+
+def support(w: ReducedWord) -> frozenset[Letter]:
+    return frozenset(w.letters)
+
+
+def word_inverse_unique(
+    registry: FactorRegistry,
+    w: ReducedWord,
+    max_len: int,
+    pool=None,
+) -> bool:
+    """Exactly one enumerated word is a two-sided inverse, the expected one.
+
+    A candidate can only multiply to the empty word through the
+    cancellation case, so candidates whose first letter is not the
+    inverse of w's last letter (the expected word's first letter) are
+    skipped without multiplying.
+    """
+    if pool is None:
+        pool = enumerate_words(registry, max_len)
+    expected = inverse_word(registry, w)
+    hits = [
+        v
+        for v in pool
+        if v.letters[:1] == expected.letters[:1]
+        and EMPTY_WORD in multiply(registry, w, v)
+        and EMPTY_WORD in multiply(registry, v, w)
+    ]
+    return hits == [expected]
+
+
+class ClosureReport(NamedTuple):
+    triples_checked: int
+    failures: tuple[tuple[ReducedWord, ReducedWord, ReducedWord], ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
+def polygroup_closure_check(
+    registry: FactorRegistry, max_len: int, samples: int, seed: int = 0
+) -> ClosureReport:
+    """Sampled reversibility: w1 in w2.w3 forces the two memberships back."""
+    for i, H in enumerate(registry.factors):
+        if not is_polygroup(H):
+            raise ValueError(f"factor {i} is not a polygroup")
+    rng = random.Random(seed)
+    pool = enumerate_words(registry, max_len)
+    failures = []
+    checked = 0
+    for _ in range(samples):
+        w2 = pool[rng.randrange(len(pool))]
+        w3 = pool[rng.randrange(len(pool))]
+        prod = sorted(multiply(registry, w2, w3), key=ReducedWord.sort_key)
+        w1 = prod[rng.randrange(len(prod))]
+        back2 = multiply(registry, w1, inverse_word(registry, w3))
+        back3 = multiply(registry, inverse_word(registry, w2), w1)
+        checked += 1
+        if w2 not in back2 or w3 not in back3:
+            failures.append((w1, w2, w3))
+    return ClosureReport(checked, tuple(failures))

@@ -195,7 +195,7 @@ def test_criterion_09_free_product_suite():
         sample = [pool[rng.randrange(len(pool))] for _ in range(10)]
         sample.append(fp.EMPTY_WORD)
         for w in sample:
-            assert fp.word_inverse_unique(reg, w, 4, pool=pool)
+            assert oracles.word_inverse_unique(reg, w, 4, pool=pool)
         # commutator words vanish under the summed projection
         nonempty = [w for w in pool if not w.is_empty() and len(w.letters) <= 2]
         for _ in range(80):
@@ -218,7 +218,7 @@ def test_criterion_09_free_product_suite():
 
 def test_criterion_10_polygroup_closure():
     for i, reg in enumerate(_registries()):
-        report = fp.polygroup_closure_check(reg, max_len=3, samples=500, seed=i)
+        report = oracles.polygroup_closure_check(reg, max_len=3, samples=500, seed=i)
         assert report.triples_checked >= 500
         assert report.passed
     _passed(10, "polygroup reversibility on 500 sampled triples per registry")

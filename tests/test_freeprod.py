@@ -19,15 +19,12 @@ from hyperkernel.freeprod import (
     multiply,
     multiply_sets,
     phi,
-    polygroup_closure_check,
     project,
     psi,
     psi_image,
     psi_supports,
     quotient_conjecture_report,
-    support,
     word_counts,
-    word_inverse_unique,
     word_product,
 )
 from hyperkernel.core import (
@@ -167,8 +164,19 @@ class TestWords:
         x = _letter(reg, 0, "x")
         a = _letter(reg, 1, "a")
         w = make_word(reg, [x, a, x])
-        assert support(w) == {x, a}
-        assert support(EMPTY_WORD) == frozenset()
+        assert oracles.support(w) == {x, a}
+        assert oracles.support(EMPTY_WORD) == frozenset()
+
+    @pytest.mark.parametrize("factor", [-1, -2, 2])
+    def test_letter_refuses_a_factor_off_the_registry(self, reg, factor):
+        # -1 and -2 would otherwise pick a factor by negative indexing
+        message = f"^no factor {factor} in registry$"
+        with pytest.raises(errors.ShapeMismatch, match=message):
+            reg.letter(factor, 1)
+        with pytest.raises(errors.ShapeMismatch, match=message):
+            embed(reg, factor, 1)
+        with pytest.raises(errors.ShapeMismatch, match=message):
+            make_word(reg, [Letter(factor, 1)])
 
 
 class TestInverseWord:
@@ -304,22 +312,22 @@ class TestEnumeration:
 
 class TestInverseUniqueness:
     def test_empty_word(self, reg):
-        assert word_inverse_unique(reg, EMPTY_WORD, 2)
+        assert oracles.word_inverse_unique(reg, EMPTY_WORD, 2)
 
     def test_group_letter(self, group_reg):
         g = group_reg.letter(1, 1)
-        assert word_inverse_unique(group_reg, ReducedWord((g,)), 2)
+        assert oracles.word_inverse_unique(group_reg, ReducedWord((g,)), 2)
 
     def test_h9_letter(self, reg):
         x = _letter(reg, 0, "x")
-        assert word_inverse_unique(reg, ReducedWord((x,)), 2)
+        assert oracles.word_inverse_unique(reg, ReducedWord((x,)), 2)
 
     def test_longer_words(self, reg):
         pool = enumerate_words(reg, 3)
         rng = random.Random(17)
         for _ in range(12):
             w = pool[rng.randrange(len(pool))]
-            assert word_inverse_unique(reg, w, 3, pool=pool)
+            assert oracles.word_inverse_unique(reg, w, 3, pool=pool)
 
 
 class TestPhi:
@@ -424,20 +432,41 @@ class TestPsi:
             psi(fam, w)
 
 
+PSI_FIXTURES = [("s3",), ("s3", "s3"), ("s3", "z3", "z2"), ("h9", "v4")]
+PSI_SECONDS = ["z2", "s3", "h9"]
+
+
+@pytest.fixture(scope="module")
+def psi_registries(widened):
+    """The registries of TestPsiSupports."""
+    fixtures = corpus.fixtures()
+    z2 = corpus.cyclic_group(2)
+    return (
+        [FactorRegistry([fixtures[name] for name in names]) for names in PSI_FIXTURES]
+        + [
+            FactorRegistry([s4_mod_double_transposition(), fixtures[second]])
+            for second in PSI_SECONDS
+        ]
+        + [FactorRegistry([H, z2]) for H in widened]
+    )
+
+
 class TestPsiSupports:
-    """The state route against psi_image on every word."""
+    """The state route against psi_image on every word, and both against
+    the composite route of the oracles: phi, then the commutator cosets
+    of the fundamental groups."""
 
     @staticmethod
     def _per_word(reg, max_len):
         return {psi_image(reg, w).support for w in enumerate_words(reg, max_len)}
 
-    @pytest.mark.parametrize("names", [("s3",), ("s3", "s3"), ("s3", "z3", "z2"), ("h9", "v4")])
+    @pytest.mark.parametrize("names", PSI_FIXTURES)
     def test_matches_per_word_images(self, names):
         reg = FactorRegistry([corpus.fixtures()[name] for name in names])
         for max_len in range(6):
             assert psi_supports(reg, max_len) == self._per_word(reg, max_len)
 
-    @pytest.mark.parametrize("second", ["z2", "s3", "h9"])
+    @pytest.mark.parametrize("second", PSI_SECONDS)
     def test_matches_per_word_images_with_a_non_commutative_polygroup(self, second):
         # S4//<(01)(23)> has fundamental group S3, so its letters reach
         # the sum through a non-abelian group
@@ -452,14 +481,35 @@ class TestPsiSupports:
             for max_len in range(6):
                 assert psi_supports(reg, max_len) == self._per_word(reg, max_len)
 
+    def test_gamma_quotients_are_the_abelianized_fundamental_groups(self, psi_registries):
+        # gamma = delta * beta: H/gamma* is the abelianization of H/beta*,
+        # names included, and the projection of H factors through beta
+        assert len(psi_registries) == 4 + 3 + 18
+        for reg in psi_registries:
+            family = reg.direct_sum_family()
+            fundamental = DirectSumFamily(reg.fundamental_groups)
+            assert family.abelianizations == fundamental.abelianizations
+            assert family.identities == fundamental.identities
+            for b, proj_H, proj_G in zip(
+                reg.betas, family.projections, fundamental.projections
+            ):
+                assert all(proj_G[b.class_of[x]] == y for x, y in enumerate(proj_H))
+
+    def test_matches_the_composite_route(self, psi_registries):
+        for reg in psi_registries:
+            words = enumerate_words(reg, 3)
+            want = {w: oracles.psi_support(reg, w) for w in words}
+            assert {w: psi_image(reg, w).support for w in words} == want
+            assert psi_supports(reg, 3) == set(want.values())
+
 
 class TestClosure:
     def test_group_factors_always_pass(self, group_reg):
-        rep = polygroup_closure_check(group_reg, max_len=2, samples=150, seed=3)
+        rep = oracles.polygroup_closure_check(group_reg, max_len=2, samples=150, seed=3)
         assert rep.passed and rep.triples_checked == 150
 
     def test_h9_registry_passes(self, reg):
-        rep = polygroup_closure_check(reg, max_len=3, samples=250, seed=5)
+        rep = oracles.polygroup_closure_check(reg, max_len=3, samples=250, seed=5)
         assert rep.passed
 
     def test_closure_check_rejects_non_polygroup_factor(self):
@@ -467,8 +517,8 @@ class TestClosure:
         # is not scalar: a*e = {e, a}
         H = HyperTable.from_sets(["e", "a"], [[[0], [1]], [[0, 1], [0, 1]]])
         reg = FactorRegistry([corpus.klein_four(), H])
-        with pytest.raises(errors.FactorsNotPolygroups, match="factor 1 is not a polygroup"):
-            polygroup_closure_check(reg, max_len=2, samples=10)
+        with pytest.raises(ValueError, match="factor 1 is not a polygroup"):
+            oracles.polygroup_closure_check(reg, max_len=2, samples=10)
 
 
 class TestConjectures:

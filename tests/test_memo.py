@@ -177,6 +177,19 @@ def test_each_table_runs_each_kernel_once(capsys, monkeypatch, table_files, argv
     assert spy.repeats() == {}
 
 
+def test_psi_closes_only_the_factor_tables(capsys, monkeypatch):
+    # psi reads each factor's gamma classes; no fundamental group gets a
+    # beta of its own
+    spy = Spy(monkeypatch, "congruence_closure")
+    assert main(["freeprod", "--factors", "h9,s3", "psi", "x@0 s@1 z@0"]) == 0
+    capsys.readouterr()
+    fixtures = corpus.fixtures()
+    assert spy.calls == {
+        ("congruence_closure", fixtures["h9"].rows): 1,
+        ("congruence_closure", fixtures["s3"].rows): 1,
+    }
+
+
 def test_nothing_is_shared_across_commands(capsys, monkeypatch, table_files):
     spy = Spy(monkeypatch, "assoc_witness")
     for _ in range(2):

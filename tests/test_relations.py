@@ -42,6 +42,12 @@ class TestPartition:
         with pytest.raises(errors.ShapeMismatch):
             Partition.from_classes(3, [[0, 1]])
 
+    @pytest.mark.parametrize("bad", [-1, -3, 3, 7])
+    def test_from_classes_refuses_members_off_the_carrier(self, bad):
+        # -1 would otherwise land on element 2 through negative indexing
+        with pytest.raises(errors.ShapeMismatch, match=f"element {bad} outside 0..2"):
+            Partition.from_classes(3, [[0, bad], [1]])
+
     def test_refines(self):
         fine = Partition.discrete(4)
         coarse = Partition.single_class(4)
