@@ -118,17 +118,23 @@ def _cmd_check(args) -> dict:
     }
 
 
+def _kernel_doc(H: HyperTable, R, key: str) -> dict:
+    """{key: labels of the kernel of R} when H/R is a group, else {}."""
+    from hyperkernel import relations
+
+    if not relations.quotient_by(H, R).is_group:
+        return {}
+    return {key: set_labels(H.names, relations.kernel_S(H, R))}
+
+
 def _fundamental_doc(H: HyperTable, R) -> dict:
     from hyperkernel import relations
 
-    q = relations.quotient_by(H, R)
-    doc = {
+    return {
         "classes": partition_labels(H.names, R),
-        "quotient": _quotient_doc(q),
+        "quotient": _quotient_doc(relations.quotient_by(H, R)),
+        **_kernel_doc(H, R, "kernel"),
     }
-    if q.is_group:
-        doc["kernel"] = set_labels(H.names, relations.kernel_S(H, R))
-    return doc
 
 
 def _cmd_beta(args) -> dict:
@@ -207,38 +213,23 @@ def _cmd_quotient(args) -> dict:
     H = _load(args.table)
     K = _parse_subset(H, args.sub)
     Q = quotients.quotient_hypergroup(H, K)
-    sigma = relations.congruence_mod(H, K)
-    cosets = {
-        Q.names[cid]: set_labels(H.names, block)
-        for cid, block in enumerate(sigma.classes)
-    }
+    closed = core.is_closed(H, K)
     doc: dict = {
-        "cosets": cosets,
+        "cosets": {
+            name: set_labels(H.names, block)
+            for name, block in zip(Q.names, relations.congruence_mod(H, K).classes)
+        },
         "quotient": table_doc(Q),
-        "is_group": False,
-        "is_abelian_group": False,
+        "is_group": closed and quotients.check_group_quotient(H, K),
+        "is_abelian_group": closed and quotients.check_abelian_quotient(H, K),
+        **_kernel_doc(Q, relations.beta(Q), "quotient_beta_kernel"),
     }
-    if core.is_closed(H, K):
-        doc["is_group"] = quotients.check_group_quotient(H, K)
-        doc["is_abelian_group"] = quotients.check_abelian_quotient(H, K)
-    qb = relations.beta(Q)
-    qq = relations.quotient_by(Q, qb)
-    if qq.is_group:
-        doc["quotient_beta_kernel"] = set_labels(Q.names, relations.kernel_S(Q, qb))
     try:
         rep = quotients.correspondence_check(H, K)
         doc["correspondence"] = {
             "applicable": True,
             "holds": rep.holds,
-            "identities": [
-                {
-                    "relation": o.relation,
-                    "kernel_match": o.kernel_match,
-                    "quotient_iso": o.quotient_iso,
-                    "chain_match": o.chain_match,
-                }
-                for o in rep.outcomes
-            ],
+            "identities": [o._asdict() for o in rep.outcomes],
         }
     except errors.NotCanonical:
         probe = quotients.correspondence_probe(H, K)

@@ -37,6 +37,13 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+def _check_elements(n: int, *xs: int) -> None:
+    """Refuse an element index outside 0..n-1, where Python would wrap it."""
+    for x in xs:
+        if not 0 <= x < n:
+            raise errors.InvalidTable(f"element {x} out of range for carrier {n}")
+
+
 class ElementSet:
     """Subset of a fixed carrier of size n, canonical bitmask form.
 
@@ -55,6 +62,8 @@ class ElementSet:
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "ElementSet":
+        indices = tuple(indices)
+        _check_elements(n, *indices)
         return cls(n, mask_of(indices))
 
     def indices(self) -> tuple[int, ...]:
@@ -297,6 +306,7 @@ class HyperTable:
         return self.rows[a][b]
 
     def cell(self, a: int, b: int) -> ElementSet:
+        _check_elements(self.n, a, b)
         return ElementSet(self.n, self.rows[a][b])
 
     def mul_mask(self, amask: int, bmask: int) -> int:
@@ -384,12 +394,14 @@ def hyperproduct(H: HyperTable, A: ElementSet, B: ElementSet) -> ElementSet:
 
 def right_division(H: HyperTable, b: int, c: int) -> ElementSet:
     """b/c: all w with b in w*c."""
+    _check_elements(H.n, b, c)
     bit = 1 << b
     return ElementSet(H.n, mask_of(w for w in range(H.n) if H.rows[w][c] & bit))
 
 
 def left_division(H: HyperTable, b: int, c: int) -> ElementSet:
     """c\\b: all w with b in c*w."""
+    _check_elements(H.n, b, c)
     bit = 1 << b
     row = H.rows[c]
     return ElementSet(H.n, mask_of(w for w in range(H.n) if row[w] & bit))

@@ -87,12 +87,13 @@ EMPTY_WORD = ReducedWord()
 
 
 class FactorRegistry:
-    """Validated family of strongly regular factors with cached structure.
+    """Validated family of strongly regular factors.
 
     Letters are tagged with their factor index, which keeps the factors
-    disjoint regardless of their labels.  Each factor contributes its
-    identity, its unique-inverse map, its fundamental partition and
-    kernel, and the fundamental group used by the projection maps.
+    disjoint regardless of their labels.  The registry keeps what the
+    word arithmetic reads per letter: each factor's identity and
+    unique-inverse map.  Each factor's beta, heart and fundamental group
+    are read from the per-table memo where they are needed.
     """
 
     def __init__(self, factors: Sequence[HyperTable]):
@@ -108,11 +109,6 @@ class FactorRegistry:
         # lie in the other's inverse set C(x).
         self.identities = tuple(identities(H).indices()[0] for H in self.factors)
         self.inverses = tuple(unique_inverses(H) for H in self.factors)
-        self.betas = tuple(beta(H) for H in self.factors)
-        self.kernels = tuple(heart(H) for H in self.factors)
-        self.fundamental_groups = tuple(
-            fundamental_group(H, "operation") for H in self.factors
-        )
         self._fundamental_registry: "FactorRegistry | None" = None
         self._direct_sum_family: DirectSumFamily | None = None
 
@@ -129,7 +125,8 @@ class FactorRegistry:
     def fundamental_registry(self) -> "FactorRegistry":
         """Registry of the fundamental groups."""
         if self._fundamental_registry is None:
-            self._fundamental_registry = FactorRegistry(self.fundamental_groups)
+            groups = [fundamental_group(H, "operation") for H in self.factors]
+            self._fundamental_registry = FactorRegistry(groups)
         return self._fundamental_registry
 
     def direct_sum_family(self) -> DirectSumFamily:
@@ -247,10 +244,7 @@ def make_word(registry: FactorRegistry, letters: Iterable[Letter]) -> ReducedWor
     letters = tuple(letters)
     prev = -1
     for l in letters:
-        if not 0 <= l.factor < len(registry.factors):
-            raise errors.ShapeMismatch(f"no factor {l.factor} in registry")
-        if not 0 <= l.elem < registry.factors[l.factor].n:
-            raise errors.UnknownLabel(f"element {l.elem} outside factor {l.factor}")
+        registry.letter(l.factor, l.elem)
         if l.elem == registry.identities[l.factor]:
             label = registry.factors[l.factor].names[l.elem]
             raise errors.IdentityLetter(f"letter {label}@{l.factor} is an identity")
@@ -364,9 +358,8 @@ def phi(registry: FactorRegistry, w: ReducedWord) -> ReducedWord:
     adjacent same-factor classes multiply out, so the image is a single
     reduced word over the fundamental-group registry.
     """
-    image = project(
-        registry.fundamental_registry(), w, [b.class_of for b in registry.betas]
-    )
+    class_maps = [beta(H).class_of for H in registry.factors]
+    image = project(registry.fundamental_registry(), w, class_maps)
     if len(image) != 1:
         raise errors.NotStronglyRegular(
             f"fundamental-group product gave {len(image)} words, not one"
@@ -622,21 +615,18 @@ def quotient_conjecture_report(
 
     # Fundamental side: factors H_i/(S_i K_i) against the fundamental
     # groups of the quotient factors, then word counts of both targets.
-    lifted = [
-        hyperproduct(H, base.kernels[i], K)
-        for i, (H, K) in enumerate(zip(factors, subs))
-    ]
+    lifted = [hyperproduct(H, heart(H), K) for H, K in zip(factors, subs)]
     treg, fund_maps = _quotient_registry(factors, lifted)
     # The canonical map sends the fundamental class of x's coset modulo
     # K_i to the class of x's coset modulo S_i K_i.
     per_factor_iso = all(
         isomorphic(
-            qreg.fundamental_groups[i],
-            treg.fundamental_groups[i],
-            [qreg.betas[i].class_of[c] for c in coset_maps[i]],
-            [treg.betas[i].class_of[c] for c in fund_maps[i]],
+            fundamental_group(Q, "operation"),
+            fundamental_group(T, "operation"),
+            [beta(Q).class_of[c] for c in qmap],
+            [beta(T).class_of[c] for c in tmap],
         )
-        for i in range(len(factors))
+        for Q, T, qmap, tmap in zip(qreg.factors, treg.factors, coset_maps, fund_maps)
     )
     distinct_fund = {
         min(image, key=ReducedWord.sort_key)

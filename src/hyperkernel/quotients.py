@@ -15,7 +15,6 @@ from hyperkernel.core import (
     DEFAULT_CLOSED_SET_BUDGET,
     ElementSet,
     HyperTable,
-    Partition,
     _require_hypergroup,
     closed_sets,
     coset_lists,
@@ -122,26 +121,26 @@ def derived(H: HyperTable) -> ElementSet:
     return kernel_S(H, gamma(H))
 
 
-def _coset_names(H: HyperTable, K: ElementSet, part: Partition) -> list[str]:
-    xk = coset_lists(H, K.mask)[1]
-    reps = (block.indices()[0] for block in part.classes)
-    return ["K" if xk[r] == K.mask else f"{H.names[r]}K" for r in reps]
-
-
 @per_table(labelled=True)
 def quotient_hypergroup(H: HyperTable, K: ElementSet) -> HyperTable:
     """Coset table H/K for a normal subhypergroup K.
 
     Carrier is the distinct cosets x*K ordered by least representative;
-    the coset equal to K is labeled K, the others rK by representative.
+    the coset equal to K is labeled K, the others rK by representative r.
+    k*K = K for every k in K, so the coset equal to K is the one class
+    of the coset partition that meets K.
     """
-    if not is_subhypergroup(H, K):
+    lists = coset_lists(H, K.mask)
+    if not is_subhypergroup(H, K, lists):
         raise errors.NotASubhypergroup("quotient needs a subhypergroup")
-    if not is_normal(H, K):
+    if not is_normal(H, K, lists):
         raise errors.NotNormal("quotient needs a normal subhypergroup")
     part = congruence_mod(H, K)
-    q = quotient_by(H, part)
-    return HyperTable(_coset_names(H, K, part), q.table.rows)
+    names = [
+        "K" if block & K else f"{H.names[block.indices()[0]]}K"
+        for block in part.classes
+    ]
+    return HyperTable(names, quotient_by(H, part).table.rows)
 
 
 def _coset_quotient(H: HyperTable, K: ElementSet) -> QuotientStructure | None:
@@ -229,16 +228,11 @@ def _correspondence_for(
     # of the congruence modulo the lifted kernel must coincide.
     p1 = pullback(rho_Q, sigma)
     p2 = join(rho_H, sigma)
-    q_rho = quotient_by(H, rho_H)
     n_ids = ElementSet.from_indices(
         len(rho_H.classes),
-        (
-            c
-            for c in range(len(rho_H.classes))
-            if rho_H.classes[c].mask | lifted.mask == lifted.mask
-        ),
+        (c for c, block in enumerate(rho_H.classes) if block <= lifted),
     )
-    sigma_prime = congruence_mod(q_rho.table, n_ids)
+    sigma_prime = congruence_mod(quotient_by(H, rho_H).table, n_ids)
     p3 = pullback(sigma_prime, rho_H)
     chain_match = p1 == p2 == p3
 

@@ -89,13 +89,6 @@ def gamma_oracle(
     return Partition(H.n, parents)
 
 
-def is_regular(H: HyperTable, R: Partition) -> bool:
-    """Related elements meet the same classes on both sides, cell by cell."""
-    if R.n != H.n:
-        raise errors.ShapeMismatch("partition carrier differs from table")
-    return kernels.regular(kernels.met_sets(H.rows, R.class_of), R.class_of)
-
-
 def is_strongly_regular(H: HyperTable, R: Partition) -> bool:
     """Regular with whole cells landing inside single classes."""
     if R.n != H.n:
@@ -178,8 +171,10 @@ def kernel_S(H: HyperTable, R: Partition) -> ElementSet:
     return R.classes[scalar_identity(q.table)]
 
 
+@per_table
 def congruence_mod(H: HyperTable, K: ElementSet) -> Partition:
-    """x related to y iff x*K and y*K coincide as sets."""
+    """x related to y iff x*K and y*K coincide as sets.  Memoised on
+    (rows, K), so a command builds each coset partition once."""
     lists = coset_lists(H, K.mask)
     if not is_subhypergroup(H, K, lists):
         raise errors.NotASubhypergroup("congruence needs a subhypergroup")

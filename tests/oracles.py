@@ -663,8 +663,8 @@ def quotient_conjecture_report(
     # Fundamental side: factors H_i/(S_i K_i) against the fundamental
     # groups of the quotient factors, then word counts of both targets.
     lifted = [
-        hyperproduct(H, base.kernels[i], K)
-        for i, (H, K) in enumerate(zip(factors, subs))
+        hyperproduct(H, relations.kernel_S(H, relations.beta(H)), K)
+        for H, K in zip(factors, subs)
     ]
     fund_targets = [
         quotient_hypergroup(H, L) for H, L in zip(factors, lifted)
@@ -677,12 +677,12 @@ def quotient_conjecture_report(
     # K_i to the class of x's coset modulo S_i K_i.
     per_factor_iso = all(
         isomorphic(
-            qreg.fundamental_groups[i],
-            treg.fundamental_groups[i],
-            [qreg.betas[i].class_of[c] for c in coset_maps[i]],
-            [treg.betas[i].class_of[c] for c in fund_maps[i]],
+            relations.fundamental_group(Q, "operation"),
+            relations.fundamental_group(T, "operation"),
+            [relations.beta(Q).class_of[c] for c in q_map],
+            [relations.beta(T).class_of[c] for c in t_map],
         )
-        for i in range(len(factors))
+        for Q, T, q_map, t_map in zip(quots, fund_targets, coset_maps, fund_maps)
     )
     distinct_fund = {
         min(project(treg, w, fund_maps), key=ReducedWord.sort_key)
@@ -730,7 +730,7 @@ def psi_support(registry: FactorRegistry, w: ReducedWord) -> tuple[tuple[int, in
     """Support of freeprod.psi_image the composite way: phi onto the free
     product of the fundamental groups, then, for each factor, the coset
     modulo the commutator subgroup of the product of its letters."""
-    abelian = [_abelianization(G) for G in registry.fundamental_groups]
+    abelian = [_abelianization(G) for G in registry.fundamental_registry().factors]
     prods = [V.identity for V, _ in abelian]
     for l in phi(registry, w).letters:
         prods[l.factor] = abelian[l.factor][0].rows[prods[l.factor]][l.elem]

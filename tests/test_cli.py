@@ -114,9 +114,22 @@ class TestQuotient:
         code, out, _ = run(capsys, "--json", "quotient", "s3", "--sub", "e,r,rr")
         doc = json.loads(out)
         assert code == 0
-        assert not doc["correspondence"]["applicable"]
-        assert "probe_holds" in doc["correspondence"]
+        assert doc["correspondence"] == {"applicable": False, "probe_holds": True}
+        assert doc["cosets"] == {"K": ["e", "r", "rr"], "sK": ["rrs", "rs", "s"]}
+        assert doc["quotient_beta_kernel"] == ["K"]
         assert doc["is_group"] and doc["is_abelian_group"]
+
+    @pytest.mark.parametrize(
+        "table, sub, message",
+        [
+            ("h9", "e,x", "quotient needs a subhypergroup"),
+            ("total3", "0", "quotient needs a subhypergroup"),
+            ("s3", "e,s", "quotient needs a normal subhypergroup"),
+        ],
+    )
+    def test_refusals(self, capsys, table, sub, message):
+        code, out, err = run(capsys, "quotient", table, "--sub", sub)
+        assert (code, out, err) == (1, "", f"hyperkernel: {message}\n")
 
 
 class TestSubsAndHeart:

@@ -52,6 +52,11 @@ class TestElementSet:
         with pytest.raises(errors.InvalidTable):
             ElementSet(2, 0b100)
 
+    @pytest.mark.parametrize("indices", [[-1], [0, -3], [3]])
+    def test_out_of_range_index_rejected(self, indices):
+        with pytest.raises(errors.InvalidTable):
+            ElementSet.from_indices(3, indices)
+
 
 class TestTableConstruction:
     def test_empty_cell_rejected(self):
@@ -65,6 +70,11 @@ class TestTableConstruction:
     def test_unknown_label_lookup(self, h9):
         with pytest.raises(errors.UnknownLabel):
             h9.index("nope")
+
+    @pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (9, 0), (0, 9)])
+    def test_cell_outside_the_carrier_rejected(self, h9, a, b):
+        with pytest.raises(errors.InvalidTable, match="out of range for carrier 9"):
+            h9.cell(a, b)
 
 
 class TestHyperproduct:
@@ -122,6 +132,12 @@ class TestDivisions:
     def test_total_division_is_everything(self):
         T = total_hypergroup(3)
         assert right_division(T, 1, 2) == T.carrier()
+
+    @pytest.mark.parametrize("division", [right_division, left_division])
+    @pytest.mark.parametrize("b, c", [(-1, 0), (0, -1), (9, 0), (0, 9)])
+    def test_element_outside_the_carrier_rejected(self, h9, division, b, c):
+        with pytest.raises(errors.InvalidTable):
+            division(h9, b, c)
 
     def test_divisions_nonempty_on_hypergroups(self, full_corpus):
         for H in full_corpus.values():

@@ -37,8 +37,8 @@ from hyperkernel.core import (
     unique_inverses,
 )
 from hyperkernel.groups import validate_group
-from hyperkernel.quotients import quotient_hypergroup, subhypergroups
-from hyperkernel.relations import congruence_mod
+from hyperkernel.quotients import heart, quotient_hypergroup, subhypergroups
+from hyperkernel.relations import beta, congruence_mod
 
 
 @pytest.fixture(scope="module")
@@ -141,7 +141,7 @@ class TestRegistry:
         H9 = reg.factors[0]
         assert reg.identities[0] == H9.index("e")
         assert reg.inverses[0][H9.index("x")] == H9.index("y")
-        assert reg.kernels[0] == H9.subset(["e", "a", "b", "c"])
+        assert heart(H9) == H9.subset(["e", "a", "b", "c"])
 
 
 class TestWords:
@@ -350,7 +350,7 @@ class TestPhi:
         pool = enumerate_words(reg, 2)
         for w in pool:
             in_kernel = all(
-                l.elem in reg.kernels[l.factor] for l in w.letters
+                l.elem in heart(reg.factors[l.factor]) for l in w.letters
             )
             assert (phi(reg, w) == EMPTY_WORD) == in_kernel
 
@@ -487,12 +487,13 @@ class TestPsiSupports:
         assert len(psi_registries) == 4 + 3 + 18
         for reg in psi_registries:
             family = reg.direct_sum_family()
-            fundamental = DirectSumFamily(reg.fundamental_groups)
+            fundamental = DirectSumFamily(reg.fundamental_registry().factors)
             assert family.abelianizations == fundamental.abelianizations
             assert family.identities == fundamental.identities
-            for b, proj_H, proj_G in zip(
-                reg.betas, family.projections, fundamental.projections
+            for H, proj_H, proj_G in zip(
+                reg.factors, family.projections, fundamental.projections
             ):
+                b = beta(H)
                 assert all(proj_G[b.class_of[x]] == y for x, y in enumerate(proj_H))
 
     def test_matches_the_composite_route(self, psi_registries):
@@ -638,8 +639,7 @@ class TestStateCounts:
             for K2 in _normal_subs(factors[1]):
                 qreg, qmaps = target([K1, K2])
                 lifted = [
-                    hyperproduct(H, S, K)
-                    for H, S, K in zip(factors, base.kernels, [K1, K2])
+                    hyperproduct(H, heart(H), K) for H, K in zip(factors, [K1, K2])
                 ]
                 treg, tmaps = target(lifted)
                 for max_len in (1, 2, 3):

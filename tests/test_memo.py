@@ -10,7 +10,7 @@ from hyperkernel import corpus, errors, kernels
 from hyperkernel.cli import main
 from hyperkernel.core import HyperTable, is_semihypergroup, per_table, shared_memos
 from hyperkernel.hypio import format_hyp
-from hyperkernel.relations import beta, quotient_by
+from hyperkernel.relations import beta, congruence_mod, quotient_by
 
 
 def fresh(H: HyperTable) -> HyperTable:
@@ -93,6 +93,13 @@ class TestPerTable:
         assert spy.calls[("assoc_witness", H.rows)] == 1
         assert spy.repeats() == {}
         assert fresh(H).memo is not G.memo
+
+    def test_equal_rows_share_one_coset_partition(self):
+        H = corpus.h9()
+        with shared_memos():
+            G, R = fresh(H), HyperTable([f"r{lab}" for lab in H.names], H.rows)
+            sigma = congruence_mod(G, G.subset(["e", "a"]))
+            assert congruence_mod(R, R.subset(["re", "ra"])) is sigma
 
     def test_memo_makes_no_reference_cycle(self):
         # a memoised result that referred back to its table would keep the
@@ -188,6 +195,14 @@ def test_psi_closes_only_the_factor_tables(capsys, monkeypatch):
         ("congruence_closure", fixtures["h9"].rows): 1,
         ("congruence_closure", fixtures["s3"].rows): 1,
     }
+
+
+def test_eval_closes_no_table(capsys, monkeypatch):
+    # word arithmetic reads each factor's identity and inverses, no beta
+    spy = Spy(monkeypatch, "congruence_closure")
+    assert main(["freeprod", "--factors", "h9,v4", "eval", "x@0 a@1 * y@0"]) == 0
+    capsys.readouterr()
+    assert spy.calls == {}
 
 
 def test_nothing_is_shared_across_commands(capsys, monkeypatch, table_files):

@@ -147,6 +147,17 @@ class TestQuotientHypergroup:
         assert Q.cell(z, z) == Q.subset(["K", "bK"])
         assert Q.cell(z, v) == Q.subset(["xK", "yK"])
 
+    def test_coset_k_may_start_outside_k(self):
+        # x*K = K with x outside K and ahead of it: the coset named K is
+        # the class that meets K, not the class whose least member is in K
+        k, full = 0b0110, 0b1111
+        rows = [[k, k, k, full]] * 3 + [[full] * 4]
+        H = HyperTable(["x", "a", "b", "y"], rows)
+        assert is_hypergroup(H)
+        Q = quotient_hypergroup(H, H.subset(["a", "b"]))
+        assert Q.names == ("K", "yK")
+        assert Q.rows == ((0b01, 0b11), (0b11, 0b11))
+
     def test_requires_normal(self):
         G = corpus.symmetric_group_3()
         K = G.subset(["e", "s"])

@@ -19,7 +19,6 @@ from hyperkernel.relations import (
     enumerate_strongly_regular,
     gamma,
     gamma_oracle,
-    is_regular,
     is_strongly_regular,
     join,
     kernel_S,
@@ -171,7 +170,7 @@ class TestRegularityChecks:
 
     def test_congruence_mod_regular(self, h9):
         sigma = congruence_mod(h9, h9.subset(["e", "a"]))
-        assert is_regular(h9, sigma)
+        assert oracles.is_regular(h9, sigma)
 
     def test_regular_not_strongly(self, h9):
         sigma = congruence_mod(h9, h9.subset(["e", "a"]))
@@ -233,9 +232,9 @@ class TestKernel:
         # regular with a quotient that is not a group
         message = "kernel needs a strongly regular relation"
         regular = congruence_mod(h9, h9.subset(["e", "a"]))
-        assert is_regular(h9, regular)
+        assert oracles.is_regular(h9, regular)
         irregular = Partition.from_classes(9, [[0, 4], *([i] for i in range(1, 9) if i != 4)])
-        assert not is_regular(h9, irregular)
+        assert not oracles.is_regular(h9, irregular)
         for R in (regular, irregular):
             with pytest.raises(errors.NotStronglyRegular, match=f"^{message}$"):
                 kernel_S(h9, R)
@@ -428,7 +427,7 @@ class TestStructuralInvariants:
             b = beta(H)
             for class_of in all_class_assignments(H.n):
                 R = Partition(H.n, class_of)
-                if b.refines(R) and is_regular(H, R):
+                if b.refines(R) and oracles.is_regular(H, R):
                     assert is_strongly_regular(H, R)
 
     def test_gamma_is_commutator_pullback(self, full_corpus):
