@@ -9,6 +9,10 @@ Each structural class (hypergroup, regular, strongly regular, polygroup,
 canonical) has one witness function: None when the class holds, else
 the witness `check` prints.  The is_* predicates and structure_report
 only read them.
+
+The lists K*x and x*K over every x make one Cosets record per subset K,
+built by build_cosets and memoised per (rows, K) by cosets.  Whether K
+is a subhypergroup, closed or normal is a property of that record.
 """
 
 from __future__ import annotations
@@ -351,7 +355,8 @@ def per_table(fn: Callable | None = None, *, labelled: bool = False) -> Callable
     default would key one fact twice, as fn(H) and fn(H, d), so
     decorating a function that has one raises TypeError.  A bad call
     raises TypeError and leaves no entry; an exception is never cached.
-    Only functions with immutable results and hashable arguments qualify.
+    Only functions with hashable arguments and immutable results (or,
+    like the lists of Cosets, read-only ones) qualify.
     """
     if fn is None:
         return functools.partial(per_table, labelled=labelled)
@@ -594,31 +599,68 @@ def is_canonical(H: HyperTable) -> bool:
     return canonical_witness(H) is None
 
 
-def coset_lists(H: HyperTable, km: int) -> tuple[list[int], list[int]]:
-    """(K*x over every x, x*K over every x) for the set K with mask km.
+class Cosets(NamedTuple):
+    """The set K with mask `mask` and its cosets: kx[x] is K*x and xk[x]
+    is x*K, over every x.  Every subhypergroup flag is read from them.
+    The lists are read-only: the per-table memo shares them."""
 
-    K*x is the OR of the rows of the members of K, and x*K the OR of
-    their columns.  The subhypergroup predicates read these two lists,
-    passed in as their argument lists or built here.
-    """
+    mask: int
+    kx: list[int]
+    xk: list[int]
+
+    @property
+    def is_subhypergroup(self) -> bool:
+        """K is nonempty and k*K = K*k = K for every k in K.
+
+        This is the reproduction law inside K.  It gives K*K = K, so on a
+        hypergroup H, K under H's product is a hypergroup.  K*k is kx[k] and
+        k*K is xk[k], so the check reads one entry of each list per k.
+        """
+        km = self.mask
+        return km != 0 and all(self.kx[k] == km == self.xk[k] for k in bits(km))
+
+    @property
+    def is_closed(self) -> bool:
+        """K is nonempty and no x outside K solves b in a*x or b in x*a
+        with a, b in K.
+
+        Such an x has b in K*x, so K*x meets K; conversely a b of K in
+        K*x lies in some a*x with a in K.  The same holds for x*a and
+        x*K.  So K is closed exactly when every x with kx[x] or xk[x]
+        meeting K lies in K.
+        """
+        km = self.mask
+        hits = mask_of(x for x, m in enumerate(map(or_, self.kx, self.xk)) if m & km)
+        return km != 0 and hits | km == km
+
+    @property
+    def is_normal(self) -> bool:
+        """x*K = K*x for every x, which is the two lists being equal."""
+        return self.kx == self.xk
+
+
+def build_cosets(H: HyperTable, mask: int) -> Cosets:
+    """The Cosets of the set with this mask: K*x is the OR of the rows
+    of the members of K, and x*K the OR of their columns."""
     kx = xk = [0] * H.n
     cols = _columns(H)
-    for k in bits(km):
+    for k in bits(mask):
         kx = list(map(or_, kx, H.rows[k]))
         xk = list(map(or_, xk, cols[k]))
-    return kx, xk
+    return Cosets(mask, kx, xk)
 
 
-def _hits(km: int, kx: Sequence[int], xk: Sequence[int]) -> int:
-    """Mask of the x for which K*x or x*K meets K."""
-    return mask_of(x for x, m in enumerate(map(or_, kx, xk)) if m & km)
+@per_table
+def cosets(H: HyperTable, K: ElementSet) -> Cosets:
+    """build_cosets memoised on (rows, K), for a K on H's carrier."""
+    if K.n != H.n:
+        raise errors.ShapeMismatch("sets over different carriers")
+    return build_cosets(H, K.mask)
 
 
-def is_subhypergroup(H: HyperTable, K: ElementSet, lists=None) -> bool:
+def is_subhypergroup(H: HyperTable, K: ElementSet) -> bool:
     """k*K = K*k = K for every k in K."""
-    km = K.mask
-    kx, xk = lists or coset_lists(H, km)
-    return km != 0 and all(kx[k] == km == xk[k] for k in bits(km))
+    return cosets(H, K).is_subhypergroup
 
 
 # A closed-set family on n points has at most 2^n members, so this budget
@@ -701,16 +743,14 @@ def product_closure(H: HyperTable) -> Callable[[int, int], int | None]:
     return close
 
 
-def is_closed(H: HyperTable, K: ElementSet, lists=None) -> bool:
+def is_closed(H: HyperTable, K: ElementSet) -> bool:
     """No solution x outside K of b in a*x or b in x*a with a, b inside."""
-    km = K.mask
-    return km != 0 and _hits(km, *(lists or coset_lists(H, km))) | km == km
+    return cosets(H, K).is_closed
 
 
-def is_normal(H: HyperTable, K: ElementSet, lists=None) -> bool:
+def is_normal(H: HyperTable, K: ElementSet) -> bool:
     """x*K = K*x for every x."""
-    kx, xk = lists or coset_lists(H, K.mask)
-    return kx == xk
+    return cosets(H, K).is_normal
 
 
 def from_group(table: Sequence[Sequence[int]], names: Sequence[str] | None = None,

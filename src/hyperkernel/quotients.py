@@ -16,8 +16,8 @@ from hyperkernel.core import (
     ElementSet,
     HyperTable,
     _require_hypergroup,
+    build_cosets,
     closed_sets,
-    coset_lists,
     direct_product,
     hyperproduct,
     is_canonical,
@@ -79,22 +79,24 @@ def subhypergroups(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> Su
 
     Product-closed subsets are closed under intersection; their closure
     system is enumerated and filtered by the reproduction law.  budget
-    bounds the product-closed sets visited.
+    bounds the product-closed sets visited.  Each closed set's Cosets is
+    built here and dropped, not memoised: the table's memo would keep
+    both lists of every closed set.
     """
     _require_hypergroup(H, "subhypergroup lattice")
     s_beta, s_gamma = heart(H).mask, derived(H).mask
     entries = []
     for mask in closed_sets(H.n, product_closure(H), budget, "subhypergroup lattice"):
-        K = ElementSet(H.n, mask)
-        lists = coset_lists(H, mask)
-        if not is_subhypergroup(H, K, lists):
+        c = build_cosets(H, mask)
+        if not c.is_subhypergroup:
             continue
-        closed = is_closed(H, K, lists)
+        K = ElementSet(H.n, mask)
+        closed = c.is_closed
         entries.append(
             SubEntry(
                 members=K,
                 closed=closed,
-                normal=is_normal(H, K, lists),
+                normal=c.is_normal,
                 complete_part=is_complete_part(H, K),
                 conjugable=closed,
                 contains_S_beta=mask | s_beta == mask,
@@ -130,10 +132,9 @@ def quotient_hypergroup(H: HyperTable, K: ElementSet) -> HyperTable:
     k*K = K for every k in K, so the coset equal to K is the one class
     of the coset partition that meets K.
     """
-    lists = coset_lists(H, K.mask)
-    if not is_subhypergroup(H, K, lists):
+    if not is_subhypergroup(H, K):
         raise errors.NotASubhypergroup("quotient needs a subhypergroup")
-    if not is_normal(H, K, lists):
+    if not is_normal(H, K):
         raise errors.NotNormal("quotient needs a normal subhypergroup")
     part = congruence_mod(H, K)
     names = [

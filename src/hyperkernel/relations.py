@@ -20,9 +20,8 @@ from hyperkernel.core import (
     Partition,
     _require_hypergroup,
     closed_sets,
-    coset_lists,
+    cosets,
     is_normal,
-    is_subhypergroup,
     per_table,
     product_closure,
     scalar_identity,
@@ -173,12 +172,13 @@ def kernel_S(H: HyperTable, R: Partition) -> ElementSet:
 
 @per_table
 def congruence_mod(H: HyperTable, K: ElementSet) -> Partition:
-    """x related to y iff x*K and y*K coincide as sets.  Memoised on
-    (rows, K), so a command builds each coset partition once."""
-    lists = coset_lists(H, K.mask)
-    if not is_subhypergroup(H, K, lists):
+    """x related to y iff x*K and y*K coincide as sets, read from the
+    x*K list of cosets(H, K).  Memoised on (rows, K), so a command
+    builds each coset partition once."""
+    c = cosets(H, K)
+    if not c.is_subhypergroup:
         raise errors.NotASubhypergroup("congruence needs a subhypergroup")
-    return Partition(H.n, lists[1])
+    return Partition(H.n, c.xk)
 
 
 def pullback(sigma: Partition, rho: Partition) -> Partition:

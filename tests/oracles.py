@@ -8,10 +8,11 @@ definitions of regular and strongly regular relations, not through
 hyperkernel.kernels.
 
 The library reads the subhypergroup predicates (subhypergroup, closed,
-normal) from the two lists K*x and x*K over every x; is_subhypergroup,
-is_closed and is_normal here multiply K by each element, bit by bit,
-and feed the powerset scan.  is_conjugable is the definition of
-conjugability, which the lattice copies from closed.
+normal) from one record of the two lists K*x and x*K over every x
+(core.Cosets); is_subhypergroup, is_closed and is_normal here multiply
+K by each element, bit by bit, and feed the powerset scan.
+is_conjugable is the definition of conjugability, which the lattice
+copies from closed.
 
 The library decides the regular, strongly regular and polygroup classes
 by one witness function each, from the inverse sets C(x), computed once

@@ -120,17 +120,18 @@ PREDICATE_CASES = _predicate_cases()
 
 @pytest.mark.parametrize("name", sorted(PREDICATE_CASES))
 def test_subset_predicates_match_bit_loops(name):
-    # Each core predicate, with its coset lists built or passed in, against
-    # the bit-loop definition in the oracles, on subhypergroups and not.
+    # Each core predicate, read from the memoised record and from one built
+    # directly as the lattice builds it, against the bit-loop definition in
+    # the oracles, on subhypergroups and not.
     for H, masks in PREDICATE_CASES[name]:
         assert 0 in masks
         for mask in masks:
             K = ElementSet(H.n, mask)
-            lists = core.coset_lists(H, mask)
+            record = core.build_cosets(H, mask)
             for pred in PREDICATES:
                 expected = getattr(oracles, pred)(H, K)
                 assert getattr(core, pred)(H, K) == expected, (pred, H.rows, mask)
-                assert getattr(core, pred)(H, K, lists) == expected, (pred, H.rows, mask)
+                assert getattr(record, pred) == expected, (pred, H.rows, mask)
 
 
 def test_predicate_cases_separate_every_flag():

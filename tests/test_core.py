@@ -266,6 +266,14 @@ class TestSubsetPredicates:
     def test_h9_ex_not_subhypergroup(self, h9):
         assert not is_subhypergroup(h9, _set(h9, ["e", "x"]))
 
+    @pytest.mark.parametrize("pred", [is_subhypergroup, is_closed, is_normal])
+    @pytest.mark.parametrize("K", [ElementSet(20, 1 << 15), ElementSet(2, 1)])
+    def test_set_outside_the_carrier_rejected(self, h9, pred, K):
+        # a larger carrier once indexed past the table, a smaller one was
+        # answered as the subset of h9 with the same mask
+        with pytest.raises(errors.ShapeMismatch, match="sets over different carriers"):
+            pred(h9, K)
+
     def test_total_only_whole(self):
         T = total_hypergroup(3)
         subs = [

@@ -2,11 +2,12 @@
 the CLI asserting that no rows run a kernel twice in one command."""
 
 import gc
+import sys
 import weakref
 
 import pytest
 
-from hyperkernel import corpus, errors, kernels
+from hyperkernel import core, corpus, errors, kernels, quotients
 from hyperkernel.cli import main
 from hyperkernel.core import HyperTable, is_semihypergroup, per_table, shared_memos
 from hyperkernel.hypio import format_hyp
@@ -203,6 +204,50 @@ def test_eval_closes_no_table(capsys, monkeypatch):
     assert main(["freeprod", "--factors", "h9,v4", "eval", "x@0 a@1 * y@0"]) == 0
     capsys.readouterr()
     assert spy.calls == {}
+
+
+def count_coset_builds(monkeypatch) -> list[tuple[tuple, int]]:
+    """(rows, mask) of every core.build_cosets call from now on, under
+    each module name that holds the builder."""
+    builds = []
+    build = core.build_cosets
+
+    def counted(H, mask):
+        builds.append((H.rows, mask))
+        return build(H, mask)
+
+    for module in list(sys.modules.values()):
+        name = getattr(module, "__name__", "")
+        if name.startswith("hyperkernel") and vars(module).get("build_cosets") is build:
+            monkeypatch.setattr(module, "build_cosets", counted)
+    return builds
+
+
+@pytest.mark.parametrize(
+    "argv, records",
+    [
+        # (h9, {e,a}), the lifted kernel on h9, and the identity of H/beta
+        (("quotient", "h9", "--sub", "e,a"), 3),
+        # the 5 subgroups of H/beta, each read by is_normal and then by
+        # congruence_mod, and the 10 product-closed sets of the lattice
+        (("sr-enum", "h9"), 15),
+    ],
+)
+def test_each_coset_record_is_built_once(capsys, monkeypatch, argv, records):
+    builds = count_coset_builds(monkeypatch)
+    assert main(["--json", *argv]) == 0
+    capsys.readouterr()
+    assert len(builds) == len(set(builds)) == records
+
+
+def test_the_lattice_keeps_no_coset_record():
+    # subhypergroups builds each closed set's record and drops it; the
+    # memo would keep both lists of every closed set
+    H = fresh(core.direct_product(corpus.h9(), corpus.cyclic_group(2)))
+    assert len(quotients.subhypergroups(H).all) > 2
+    assert not [v for v in H.memo.values() if isinstance(v, core.Cosets)]
+    assert isinstance(core.cosets(H, H.carrier()), core.Cosets)
+    assert core.cosets(H, H.carrier()) in H.memo.values()
 
 
 def test_nothing_is_shared_across_commands(capsys, monkeypatch, table_files):

@@ -22,6 +22,7 @@ import pytest
 import hyperkernel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(hyperkernel.__file__).resolve().parent
 MODULES = tuple(m.name for m in pkgutil.iter_modules(hyperkernel.__path__))
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 ROW = re.compile(r"^\| `hyperkernel\.(\w+)` \| (.*) \|$")
@@ -85,3 +86,20 @@ def test_skipped_words_are_still_in_the_readme():
     names = readme_names()
     assert len(names) > 80
     assert NOT_NAMES <= set(names)
+
+
+def test_memo_paragraph_names_every_per_table_function():
+    # Each function src/ decorates with @per_table is named in the
+    # README's per-table memo paragraph, bare or as `module.name`.
+    decorated = re.compile(r"^@per_table\b.*\n(?:@.*\n)*def (\w+)", re.M)
+    found = {
+        (path.stem, name)
+        for path in SRC.glob("*.py")
+        for name in decorated.findall(path.read_text(encoding="utf-8"))
+    }
+    text = README.read_text(encoding="utf-8")
+    memo = text[text.index("Per-table memo:"):].split("\n\n", 1)[0]
+    named = set(re.findall(r"`([^`]+)`", memo))
+    assert len(found) > 15
+    missing = [f"{m}.{n}" for m, n in sorted(found) if n not in named and f"{m}.{n}" not in named]
+    assert missing == []
