@@ -13,7 +13,7 @@ asserted on every multiplication rather than assumed.
 
 A set of words is a plain frozenset.  The canonical order of words
 (`ReducedWord.sort_key`: length, then factors, then elements) is applied
-only where order shows: printed word lists and seeded picks.
+only where order shows: printed word lists and an image's least word.
 
 The conjecture report lists no words.  `word_counts` counts words by
 length, and `image_counts` counts the base words reaching each
@@ -54,6 +54,7 @@ from hyperkernel.relations import (
 )
 
 DEFAULT_WORD_BUDGET = 1_000_000
+IMAGE_BUDGET = 4_000_000
 
 
 class Letter(NamedTuple):
@@ -384,7 +385,9 @@ def psi_image(registry: FactorRegistry, w: ReducedWord) -> DirectSumElement:
 def enumerate_words(
     registry: FactorRegistry, max_len: int, budget: int = DEFAULT_WORD_BUDGET
 ) -> list[ReducedWord]:
-    """All reduced words of length <= max_len in canonical order."""
+    """All reduced words of length <= max_len, by length and then letter
+    by letter (factor, then element): the `ReducedWord.sort_key` order on
+    two factors, but not on three, where 1@1 1@2 precedes 2@1 1@0 here."""
     nonident = [
         [x for x in range(H.n) if x != registry.identities[i]]
         for i, H in enumerate(registry.factors)
@@ -423,24 +426,6 @@ def word_counts(sizes: Sequence[int], max_len: int) -> list[int]:
     return counts
 
 
-def _word_total(sizes: Sequence[int], max_len: int, cap: int) -> int:
-    """sum(word_counts(sizes, max_len)), counted only until it passes cap.
-
-    Each layer of counts by last factor is a function of the one before,
-    so a layer that repeats repeats to the end and is summed in closed
-    form; every other layer sequence grows geometrically."""
-    total, ending, count = 1, [0] * len(sizes), 1
-    for k in range(max_len):
-        nxt = [m * (count - e) for m, e in zip(sizes, ending)]
-        if nxt == ending:
-            return total + (max_len - k) * sum(nxt)
-        ending, count = nxt, sum(nxt)
-        total += count
-        if total > cap:
-            break
-    return total
-
-
 def image_counts(
     base: FactorRegistry,
     target: FactorRegistry,
@@ -455,6 +440,10 @@ def image_counts(
     factor that share a class extend a state alike, so they are taken
     once with their multiplicity, and each image times a letter is
     multiplied out once.
+
+    The walk is charged k per layer k, up front, and k per state first
+    reached at length k, the most letters a word of its image can have;
+    past `IMAGE_BUDGET` it raises `BudgetExceeded`.
     """
     letters = []
     for i, H in enumerate(base.factors):
@@ -463,7 +452,8 @@ def image_counts(
     step: dict[tuple[frozenset[ReducedWord], ReducedWord], frozenset[ReducedWord]] = {}
     layer = {(-1, frozenset([EMPTY_WORD])): 1}
     states = dict(layer)
-    for _ in range(max_len):
+    spent = _charged(max_len * (max_len + 1) // 2, max_len)
+    for k in range(1, max_len + 1):
         nxt: dict[tuple[int, frozenset[ReducedWord]], int] = {}
         for (last, image), count in layer.items():
             for i, choices in enumerate(letters):
@@ -473,11 +463,27 @@ def image_counts(
                     out = step.get((image, w))
                     if out is None:
                         out = step[image, w] = multiply_sets(target, image, [w])
-                    nxt[i, out] = nxt.get((i, out), 0) + count * m
+                    state = (i, out)
+                    if state in nxt:
+                        nxt[state] += count * m
+                    else:
+                        nxt[state] = count * m
+                        if state not in states:
+                            spent = _charged(spent + k, k)
         for state, count in nxt.items():
             states[state] = states.get(state, 0) + count
         layer = nxt
     return states
+
+
+def _charged(spent: int, k: int) -> int:
+    """spent, or `BudgetExceeded` once it passes `IMAGE_BUDGET` by length k."""
+    if spent > IMAGE_BUDGET:
+        raise errors.BudgetExceeded(
+            f"conjecture images: charged {spent} letters by length {k}, "
+            f"over the budget of {IMAGE_BUDGET}"
+        )
+    return spent
 
 
 def psi_supports(
@@ -579,19 +585,14 @@ def quotient_conjecture_report(
     images lie among the target's words, and a covering flag is true
     exactly when the per-length counts are equal.
 
-    More than `DEFAULT_WORD_BUDGET` base words raises `BudgetExceeded`,
-    as `enumerate_words` would.  A quotient factor never has more
-    letters than its base factor, so no target has more words.
+    The budget is `image_counts`'.  `word_counts` is arithmetic over the
+    max_len it admits, and `psi_supports` keeps deduplicated states,
+    bounded by the direct sum, so neither is charged.
     """
     if len(factors) != len(subs):
         raise errors.ShapeMismatch("one subhypergroup per factor required")
     base = FactorRegistry(factors)
     qreg, coset_maps = _quotient_registry(factors, subs)
-    budget = DEFAULT_WORD_BUDGET
-    if _word_total([H.n - 1 for H in factors], max_len, budget) > budget:
-        raise errors.BudgetExceeded(
-            f"more than {budget} words below length {max_len}"
-        )
 
     # Words over the quotient factors vs coset images of base words.
     states = image_counts(base, qreg, coset_maps, max_len)

@@ -12,6 +12,8 @@ cross-checking.
 
 from __future__ import annotations
 
+from math import comb
+
 from hyperkernel import errors, kernels
 from hyperkernel.core import (
     DEFAULT_CLOSED_SET_BUDGET,
@@ -28,7 +30,7 @@ from hyperkernel.core import (
 )
 from hyperkernel.groups import commutator_subgroup, inverses
 
-DEFAULT_ORACLE_BUDGET = 10_000_000
+DEFAULT_ORACLE_BUDGET = 4_000_000
 
 
 @per_table
@@ -67,22 +69,17 @@ def gamma_oracle(
     of the product of any reordering; the result is transitively closed.
     Independent of gamma()'s closure/quotient route by construction.
 
-    The budget counts ordered tuples, sum(n**k for k <= nmax), although
-    the kernel builds blocks only for the multisets shorter than nmax,
-    and at nmax merges their products by each letter and compares one
-    root matrix per multiset of length nmax - 2 with its transpose.
-    The count stops at the first length k whose total passes the budget,
-    and the refusal names that k; for n = 1 the total is nmax.
+    The budget counts the block masks the kernel keeps: one line of n
+    masks per multiset of length <= nmax - 2, so by the hockey-stick
+    identity n * comb(n + nmax - 2, nmax - 2), and none at nmax = 1.
     """
     if nmax < 1:
         raise errors.HyperError(f"nmax must be at least 1, got {nmax}")
-    total = k = nmax if H.n == 1 else 0
-    while k < nmax and total <= budget:
-        k += 1
-        total += H.n**k
-    if total > budget:
+    masks = H.n * comb(H.n + nmax - 2, nmax - 2) if nmax > 1 else 0
+    if masks > budget:
         raise errors.BudgetExceeded(
-            f"{total} tuples of length <= {k} exceed budget {budget}"
+            f"gamma oracle: {masks} block masks by length {nmax}, "
+            f"over the budget of {budget}"
         )
     parents = kernels.oracle_merge(H.rows, H.n, nmax)
     return Partition(H.n, parents)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -227,11 +228,16 @@ class TestBadInput:
 
 
 class TestBudgetRefusals:
-    # Both counts stop at the budget, so a bound of 10^9 refuses at once.
+    # Both charges are known before any block or word is built, so a
+    # bound of 10^9 refuses at once.
     def test_gamma_oracle(self, capsys):
         code, _, err = run(capsys, "gamma", "h9", "--oracle", "--nmax", "1000000000")
         assert code == 2
-        assert err == "hyperkernel: 48427560 tuples of length <= 8 exceed budget 10000000\n"
+        masks = 9 * comb(10**9 + 7, 10**9 - 2)
+        assert err == (
+            f"hyperkernel: gamma oracle: {masks} block masks by length 1000000000, "
+            "over the budget of 4000000\n"
+        )
 
     def test_conjectures(self, capsys):
         code, _, err = run(
@@ -239,7 +245,37 @@ class TestBudgetRefusals:
             "--subs", "e,a;e,a", "--max-len", "1000000000",
         )
         assert code == 2
-        assert err == "hyperkernel: more than 1000000 words below length 1000000000\n"
+        assert err == (
+            "hyperkernel: conjecture images: charged 500000000500000000 letters "
+            "by length 1000000000, over the budget of 4000000\n"
+        )
+
+    def test_conjectures_on_one_letter_factors(self, capsys):
+        # Only 40,001 base words, but each layer multiplies out longer
+        # words; the layers alone charge 20000 * 20001 / 2.
+        code, out, err = run(
+            capsys, "freeprod", "--factors", "z2,z2", "conjectures",
+            "--subs", "0;0", "--max-len", "20000",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "hyperkernel: conjecture images: charged 200010000 letters "
+            "by length 20000, over the budget of 4000000\n"
+        )
+
+    def test_conjectures_with_a_one_element_factor(self, capsys, tmp_path):
+        # No word is longer than one letter, but every layer is charged.
+        path = tmp_path / "one.hyp"
+        path.write_text("elements: e\nrow e: {e}\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "freeprod", "--factors", f"{path},z2", "conjectures",
+            "--subs", "e;0", "--max-len", "5000000",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "hyperkernel: conjecture images: charged 12500002500000 letters "
+            "by length 5000000, over the budget of 4000000\n"
+        )
 
 
 def _mutate(data: bytes, edits, cut) -> bytes:

@@ -309,6 +309,15 @@ class TestEnumeration:
         keys = [w.sort_key() for w in words]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("names", [("z2", "z3", "z2"), ("h9", "s3", "v4")])
+    def test_letter_by_letter_order_on_three_factors(self, names):
+        # The canonical order compares all factors before any element,
+        # so on three factors it differs from the enumeration's.
+        reg = FactorRegistry([corpus.fixtures()[name] for name in names])
+        words = enumerate_words(reg, 3)
+        assert words == sorted(words, key=lambda w: (len(w.letters), w.letters))
+        assert words != sorted(words, key=ReducedWord.sort_key)
+
 
 class TestInverseUniqueness:
     def test_empty_word(self, reg):
@@ -659,17 +668,52 @@ class TestStateCounts:
         assert quotient_conjecture_report(*args) == oracles.quotient_conjecture_report(*args)
 
     def test_budget_threshold(self, h9, monkeypatch):
+        # Each image walk charges k per layer and k per state first reached
+        # at length k, counted here from one projection per base word; the
+        # oracle route counts the base words it lists.
         G = corpus.klein_four()
         factors = [h9, G]
         subs = [h9.subset(["e", "a"]), G.subset(["e", "a"])]
-        words = len(enumerate_words(FactorRegistry(factors), 3))
-        for route in (quotient_conjecture_report, oracles.quotient_conjecture_report):
-            monkeypatch.setattr(freeprod, "DEFAULT_WORD_BUDGET", words)
+        base = FactorRegistry(factors)
+        lifted = [hyperproduct(H, heart(H), K) for H, K in zip(factors, subs)]
+        spend = 0
+        for targets in (subs, lifted):
+            reg = FactorRegistry([quotient_hypergroup(H, K) for H, K in zip(factors, targets)])
+            maps = [congruence_mod(H, K).class_of for H, K in zip(factors, targets)]
+            first = {}
+            for w in enumerate_words(base, 3):
+                last = w.letters[-1].factor if w.letters else -1
+                first.setdefault((last, project(reg, w, maps)), len(w.letters))
+            spend = max(spend, 3 * 4 // 2 + sum(first.values()))
+        words = len(enumerate_words(base, 3))
+        for route, name, limit, message in (
+            (quotient_conjecture_report, "IMAGE_BUDGET", spend,
+             f"conjecture images: charged {spend} letters by length 3, "
+             f"over the budget of {spend - 1}"),
+            (oracles.quotient_conjecture_report, "DEFAULT_WORD_BUDGET", words,
+             f"more than {words - 1} words below length 3"),
+        ):
+            monkeypatch.setattr(freeprod, name, limit)
             assert route(factors, subs, 3).max_len == 3
-            monkeypatch.setattr(freeprod, "DEFAULT_WORD_BUDGET", words - 1)
+            monkeypatch.setattr(freeprod, name, limit - 1)
             with pytest.raises(errors.BudgetExceeded) as exc:
                 route(factors, subs, 3)
-            assert str(exc.value) == f"more than {words - 1} words below length 3"
+            assert str(exc.value) == message
+            monkeypatch.undo()
+
+    def test_one_letter_factors_are_charged_by_length(self):
+        # Two states per layer on z2, z2: the layers and states together
+        # charge 3 * L * (L + 1) / 2, which passes 4,000,000 at L = 1633.
+        reg = FactorRegistry([corpus.cyclic_group(2)] * 2)
+        maps = [[0, 1], [0, 1]]
+        assert len(image_counts(reg, reg, maps, 1632)) == 1 + 2 * 1632
+        message = (
+            "conjecture images: charged 4000850 letters by length 1633, "
+            "over the budget of 4000000"
+        )
+        with pytest.raises(errors.BudgetExceeded) as exc:
+            image_counts(reg, reg, maps, 1633)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "names", [("z4",), ("h9", "v4"), ("s3", "z3", "z2"), ("h9", "h9")]
@@ -681,21 +725,6 @@ class TestStateCounts:
             words = enumerate_words(reg, max_len)
             counts = word_counts(sizes, max_len)
             assert counts == [sum(len(w.letters) == k for w in words) for k in range(max_len + 1)]
-
-    @pytest.mark.parametrize(
-        "sizes", [[8, 3], [1, 1], [1, 1, 0], [3], [0, 0], [1, 2], [2, 5, 1]]
-    )
-    def test_capped_word_total(self, sizes):
-        # the sum of word_counts below the cap, and past it at the first
-        # length that passes; a repeating layer (sizes 1, 1) or an empty
-        # one is added in closed form
-        for cap in (1, 5, 40, 10**6):
-            for max_len in range(8):
-                total = sum(word_counts(sizes, max_len))
-                capped = freeprod._word_total(sizes, max_len, cap)
-                assert capped == total if total <= cap else cap < capped <= total
-        assert freeprod._word_total([1, 1], 10**9, 10**12) == 1 + 2 * 10**9
-        assert freeprod._word_total([3, 0], 10**9, 10) == 4
 
     def test_state_counts_sum_to_the_words_they_project(self, h9):
         # Letters of a factor that share a coset are one step with their

@@ -9,6 +9,9 @@ standard-library module, bare or as `module.name`, resolves too.
 Backticked text that is not an identifier (`H/beta`, `len(w)`,
 `tests/oracles.py`) is not a name and is skipped.  A rename, or a move
 out of `src/`, fails here instead of misleading a reader.
+
+Every budget limit `src/` defines is stated in the README with its
+value, so the budget prose cannot drift from the code.
 """
 
 import importlib
@@ -103,3 +106,27 @@ def test_memo_paragraph_names_every_per_table_function():
     assert len(found) > 15
     missing = [f"{m}.{n}" for m, n in sorted(found) if n not in named and f"{m}.{n}" not in named]
     assert missing == []
+
+
+def _spellings(value: int) -> set[str]:
+    """How the README writes a limit: 4,000,000, or 2^20 for a power of two."""
+    out = {f"{value:,}"}
+    if value & (value - 1) == 0:
+        out.add(f"2^{value.bit_length() - 1}")
+    return out
+
+
+def test_readme_states_every_budget_limit():
+    # A paragraph that names the constant, bare or as `module.NAME`,
+    # also gives its value.
+    limits = {
+        name: getattr(importlib.import_module(f"hyperkernel.{path.stem}"), name)
+        for path in SRC.glob("*.py")
+        for name in re.findall(r"^(\w*BUDGET) = ", path.read_text(encoding="utf-8"), re.M)
+    }
+    paragraphs = README.read_text(encoding="utf-8").split("\n\n")
+    assert len(limits) >= 4
+    for name, value in limits.items():
+        named = [p for p in paragraphs if re.search(rf"`(\w+\.)?{name}`", p)]
+        assert named, name
+        assert any(s in p for p in named for s in _spellings(value)), name

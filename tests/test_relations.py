@@ -1,3 +1,5 @@
+from math import comb
+
 import generators
 import oracles
 import pytest
@@ -123,16 +125,36 @@ class TestGamma:
         with pytest.raises(errors.BudgetExceeded):
             gamma_oracle(h9, nmax=4, budget=100)
 
-    def test_oracle_budget_stops_counting_at_the_first_length_past_it(self, h9):
-        # 9 + 81 + 729 = 819 tuples of length <= 3 pass 100; nothing longer
-        # is counted, however large nmax is
-        message = "^819 tuples of length <= 3 exceed budget 100$"
-        for nmax in (3, 4, 10**9):
-            with pytest.raises(errors.BudgetExceeded, match=message):
-                gamma_oracle(h9, nmax=nmax, budget=100)
-        with pytest.raises(errors.BudgetExceeded, match="^1000000000 tuples of length <= 1000000000 "):
+    def test_oracle_budget_counts_block_masks_in_closed_form(self, h9):
+        # 9 * comb(9 + nmax - 2, nmax - 2) masks: 90 at nmax 3, 495 at
+        # nmax 4, and nmax - 1 on a one-element carrier
+        message = "^gamma oracle: 495 block masks by length 4, over the budget of 100$"
+        with pytest.raises(errors.BudgetExceeded, match=message):
+            gamma_oracle(h9, nmax=4, budget=100)
+        assert gamma_oracle(h9, nmax=3, budget=90) == gamma_oracle(h9, nmax=3)
+        with pytest.raises(errors.BudgetExceeded, match="^gamma oracle: 90 block masks "):
+            gamma_oracle(h9, nmax=3, budget=89)
+        with pytest.raises(errors.BudgetExceeded, match="^gamma oracle: 999999999 block masks "):
             gamma_oracle(total_hypergroup(1), nmax=10**9, budget=100)
-        assert gamma_oracle(total_hypergroup(1), nmax=100, budget=100) == Partition.discrete(1)
+        assert gamma_oracle(total_hypergroup(1), nmax=101, budget=100) == Partition.discrete(1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_oracle_budget_is_the_masks_the_kernel_keeps(self, n):
+        # oracle_merge keeps the lines of _block_layers up to nmax - 1:
+        # n masks per multiset of length <= nmax - 2
+        H = total_hypergroup(n)
+        for nmax in range(1, 7):
+            layers = zip(range(1, nmax), kernels._block_layers(n, kernels._Products(H.rows)))
+            held = sum(len(row) for _, (line, _) in layers for row in line.values())
+            assert held == (n * comb(n + nmax - 2, nmax - 2) if nmax > 1 else 0)
+            assert gamma_oracle(H, nmax=nmax, budget=held) == gamma_oracle(H, nmax=nmax)
+            if held:
+                with pytest.raises(errors.BudgetExceeded):
+                    gamma_oracle(H, nmax=nmax, budget=held - 1)
+
+    def test_oracle_at_length_eight_matches_gamma(self, h9):
+        # 9 * comb(15, 6) = 45,045 masks, inside the default budget
+        assert gamma_oracle(h9, nmax=8) == gamma(h9)
 
     @pytest.mark.parametrize("nmax", [0, -1])
     def test_oracle_rejects_nmax_below_one(self, h9, nmax):
