@@ -16,12 +16,10 @@ A set of words is a plain frozenset.  The canonical order of words
 only where order shows: printed word lists and an image's least word.
 
 The conjecture report lists no words.  `word_counts` counts words by
-length, and `image_counts` counts the base words reaching each
-(last factor, projected word set) state, multiplying each distinct set
-by each distinct class letter once.  Its commutative side is counted by
-states too: psi is a homomorphism into the direct sum, so
-`psi_supports` adds letter images over (last factor, direct-sum
-element) states instead of mapping each quotient word.
+length; `image_counts` walks the base words' images layer by layer over
+integer word ids, and folds each layer into the images met.  psi is a
+homomorphism into the direct sum, so `psi_supports` adds letter images
+over (last factor, direct-sum element) states.
 
 The direct sum of the abelian groups H_i/gamma*(H_i) (`DirectSumFamily`)
 lives here, next to `psi`, its only user; the quotient and its
@@ -319,9 +317,7 @@ def multiply_sets(registry: FactorRegistry, A: Iterable[ReducedWord],
     return frozenset(out)
 
 
-def word_product(
-    registry: FactorRegistry, words: Sequence[ReducedWord]
-) -> frozenset[ReducedWord]:
+def word_product(registry: FactorRegistry, words: Sequence[ReducedWord]) -> frozenset[ReducedWord]:
     acc = frozenset([EMPTY_WORD])
     for w in words:
         acc = multiply_sets(registry, acc, [w])
@@ -336,20 +332,15 @@ def embed(registry: FactorRegistry, factor: int, elem: int) -> ReducedWord:
     return ReducedWord((l,))
 
 
-def project(
-    target: FactorRegistry,
-    w: ReducedWord,
-    class_maps: Sequence[Sequence[int]],
-) -> frozenset[ReducedWord]:
+def project(target: FactorRegistry, w: ReducedWord,
+            class_maps: Sequence[Sequence[int]]) -> frozenset[ReducedWord]:
     """Letterwise image of w over target.
 
     Letter x@i maps to the embedded class class_maps[i][x] of target's
     factor i, and the images multiply out over target.
     """
-    return word_product(
-        target,
-        [embed(target, l.factor, class_maps[l.factor][l.elem]) for l in w.letters],
-    )
+    images = [embed(target, l.factor, class_maps[l.factor][l.elem]) for l in w.letters]
+    return word_product(target, images)
 
 
 def phi(registry: FactorRegistry, w: ReducedWord) -> ReducedWord:
@@ -426,69 +417,110 @@ def word_counts(sizes: Sequence[int], max_len: int) -> list[int]:
     return counts
 
 
-def image_counts(
-    base: FactorRegistry,
-    target: FactorRegistry,
-    class_maps: Sequence[Sequence[int]],
-    max_len: int,
-) -> dict[tuple[int, frozenset[ReducedWord]], int]:
-    """Letterwise images of the base words of length <= max_len, counted.
+class ImageWalk(NamedTuple):
+    """The images `image_counts` met, over word ids of its target.
 
-    Maps each state (last base factor, image) to the number of base
-    words that reach it, where the image is what `project` gives for the
-    word.  The empty word's state has last factor -1.  Letters of a
-    factor that share a class extend a state alike, so they are taken
-    once with their multiplicity, and each image times a letter is
-    multiplied out once.
-
-    The walk is charged k per layer k, up front, and k per state first
-    reached at length k, the most letters a word of its image can have;
-    past `IMAGE_BUDGET` it raises `BudgetExceeded`.
+    Id 0 is the empty word, and a word's id is its parent's id shifted
+    left by `shift` bits, ORed with one plus its last letter's index in
+    `letters`: k letters take more than (k - 1) * shift bits and at most
+    k * shift.  An image is an id if it holds one word, else a frozenset
+    of ids.  `kernel` counts the base words whose image holds id 0.
     """
-    letters = []
+
+    shift: int
+    letters: tuple[Letter, ...]
+    images: set
+    kernel: int
+
+    def word(self, w: int) -> ReducedWord:
+        out = []
+        while w:
+            out.append(self.letters[(w & (1 << self.shift) - 1) - 1])
+            w >>= self.shift
+        return ReducedWord(tuple(reversed(out)))
+
+    def covered(self) -> set[int]:
+        return {w for ids in self.images for w in (ids if type(ids) is frozenset else (ids,))}
+
+    def least(self) -> set[int]:
+        """Each image's least word by `ReducedWord.sort_key`, which ids follow
+        on two factors only."""
+        key = lambda w: self.word(w).sort_key()
+        return {min(ids, key=key) if type(ids) is frozenset else ids for ids in self.images}
+
+    def counts(self, ids: Iterable[int], max_len: int) -> list[int]:
+        return _counts_by_length((-(-w.bit_length() // self.shift) for w in ids), max_len)
+
+
+def image_counts(base: FactorRegistry, target: FactorRegistry,
+                 class_maps: Sequence[Sequence[int]], max_len: int) -> ImageWalk:
+    """Letterwise images of the base words of length <= max_len.
+
+    A base word's image is what `project` gives for it.  Each layer maps
+    each image, per last base factor, to the number of base words of its
+    length reaching it, taking the letters of a factor that share a class
+    once with their multiplicity; it is folded into the `ImageWalk` and
+    dropped.  Boundary products are `multiply`'s, one per letter pair.
+
+    The walk is charged k per layer k, up front, and one per id each
+    layer stores, which bounds one-letter factors too, whose ids grow as
+    their layers stay small; past `IMAGE_BUDGET` it raises `BudgetExceeded`.
+    """
+    letters = tuple(Letter(i, x) for i, Q in enumerate(target.factors) for x in range(Q.n))
+    code = {ReducedWord((l,)): c for c, l in enumerate(letters, 1)}
+    shift = len(letters).bit_length()
+    mask = (1 << shift) - 1
+    factor_of = (-1,) + tuple(l.factor for l in letters)
+    boundary: dict[tuple[int, int], list[int]] = {}
+
+    def times(image, b: int):
+        if type(image) is int and factor_of[image & mask] != factor_of[b]:
+            return image << shift | b
+        out = set()
+        for w in image if type(image) is frozenset else (image,):
+            a, p = w & mask, w >> shift
+            if factor_of[a] != factor_of[b]:
+                out.add(w << shift | b)
+                continue
+            if (a, b) not in boundary:
+                pair = multiply(target, *(ReducedWord((letters[c - 1],)) for c in (a, b)))
+                boundary[a, b] = [code.get(v, 0) for v in pair]
+            out.update(p << shift | c if c else p for c in boundary[a, b])
+        return out.pop() if len(out) == 1 else frozenset(out)
+
+    steps = []
     for i, H in enumerate(base.factors):
         mult = Counter(class_maps[i][x] for x in range(H.n) if x != base.identities[i])
-        letters.append([(embed(target, i, c), m) for c, m in mult.items()])
-    step: dict[tuple[frozenset[ReducedWord], ReducedWord], frozenset[ReducedWord]] = {}
-    layer = {(-1, frozenset([EMPTY_WORD])): 1}
-    states = dict(layer)
+        steps.append([(code.get(embed(target, i, c), 0), m) for c, m in mult.items()])
+    layer, images, kernel = {-1: {0: 1}}, {0}, 1
     spent = _charged(max_len * (max_len + 1) // 2, max_len)
     for k in range(1, max_len + 1):
-        nxt: dict[tuple[int, frozenset[ReducedWord]], int] = {}
-        for (last, image), count in layer.items():
-            for i, choices in enumerate(letters):
-                if i == last:
-                    continue
-                for w, m in choices:
-                    out = step.get((image, w))
-                    if out is None:
-                        out = step[image, w] = multiply_sets(target, image, [w])
-                    state = (i, out)
-                    if state in nxt:
-                        nxt[state] += count * m
-                    else:
-                        nxt[state] = count * m
-                        if state not in states:
-                            spent = _charged(spent + k, k)
-        for state, count in nxt.items():
-            states[state] = states.get(state, 0) + count
+        nxt: dict[int, dict] = {i: {} for i in range(len(steps))}
+        for last, states in layer.items():
+            for i, into in nxt.items():
+                for image, count in states.items() if i != last else ():
+                    for b, m in steps[i]:
+                        out = times(image, b) if b else image
+                        if out not in into:
+                            spent = _charged(spent + (1 if type(out) is int else len(out)), k)
+                        into[out] = into.get(out, 0) + count * m
+        for states in nxt.values():
+            images.update(states)
+            kernel += sum(c for ids, c in states.items()
+                          if ids == 0 or type(ids) is frozenset and 0 in ids)
         layer = nxt
-    return states
+    return ImageWalk(shift, letters, images, kernel)
 
 
 def _charged(spent: int, k: int) -> int:
     """spent, or `BudgetExceeded` once it passes `IMAGE_BUDGET` by length k."""
     if spent > IMAGE_BUDGET:
-        raise errors.BudgetExceeded(
-            f"conjecture images: charged {spent} letters by length {k}, "
-            f"over the budget of {IMAGE_BUDGET}"
-        )
+        raise errors.BudgetExceeded(f"conjecture images: charged {spent} word ids by length {k}, "
+                                    f"over the budget of {IMAGE_BUDGET}")
     return spent
 
 
-def psi_supports(
-    registry: FactorRegistry, max_len: int
-) -> set[tuple[tuple[int, int], ...]]:
+def psi_supports(registry: FactorRegistry, max_len: int) -> set[tuple[tuple[int, int], ...]]:
     """Distinct `psi_image` supports of the words of length <= max_len.
 
     psi is a homomorphism into the direct sum: gamma(H) projects each
@@ -501,12 +533,8 @@ def psi_supports(
     """
     family = registry.direct_sum_family()
     zero = family.identities
-    steps = [
-        (products(A), {proj[x] for x in range(len(proj)) if x != e})
-        for e, proj, A in zip(
-            registry.identities, family.projections, family.abelianizations
-        )
-    ]
+    steps = [(products(A), {proj[x] for x in range(len(proj)) if x != e})
+             for e, proj, A in zip(registry.identities, family.projections, family.abelianizations)]
     layer = {(-1, zero)}
     seen = set(layer)
     for _ in range(max_len):
@@ -518,21 +546,12 @@ def psi_supports(
                     nxt.update((i, acc[:i] + (row[c],) + acc[i + 1:]) for c in images)
         layer = nxt - seen
         seen |= layer
-    return {
-        tuple((i, c) for i, c in enumerate(acc) if c != zero[i]) for _, acc in seen
-    }
+    return {tuple((i, c) for i, c in enumerate(acc) if c != zero[i]) for _, acc in seen}
 
 
 def _counts_by_length(lengths: Iterable[int], max_len: int) -> list[int]:
-    counts = [0] * (max_len + 1)
-    for k in lengths:
-        if k <= max_len:
-            counts[k] += 1
-    return counts
-
-
-def _word_lengths(words: Iterable[ReducedWord]) -> Iterable[int]:
-    return (len(w.letters) for w in words)
+    counts = Counter(lengths)
+    return [counts[k] for k in range(max_len + 1)]
 
 
 class QuotientConjectureReport(NamedTuple):
@@ -548,31 +567,21 @@ class QuotientConjectureReport(NamedTuple):
     commutative_formula: dict
 
 
-def _quotient_registry(
-    factors: Sequence[HyperTable], subs: Sequence
-) -> tuple[FactorRegistry, list[tuple[int, ...]]]:
+def _quotient_registry(factors: Sequence[HyperTable],
+                       subs: Sequence) -> tuple[FactorRegistry, list[tuple[int, ...]]]:
     """Registry of the quotient factors H_i/K_i, and each factor's coset map."""
     reg = FactorRegistry([quotient_hypergroup(H, K) for H, K in zip(factors, subs)])
     return reg, [congruence_mod(H, K).class_of for H, K in zip(factors, subs)]
 
 
-def _target_counts(reg: FactorRegistry, max_len: int) -> list[int]:
-    """Reduced words over reg by length: each factor has one identity."""
-    return word_counts([Q.n - 1 for Q in reg.factors], max_len)
-
-
 def quotient_conjecture_report(
-    factors: Sequence[HyperTable],
-    subs: Sequence,
-    max_len: int = 2,
+    factors: Sequence[HyperTable], subs: Sequence, max_len: int = 2
 ) -> QuotientConjectureReport:
     """Compare both sides of each quotient formula on words of length <= max_len.
 
-    No word list is built.  The images of the base words are counted per
-    distinct state by `image_counts`.  The commutative side sums the
-    letter images of the quotient words per (last factor, direct-sum
-    element) state in `psi_supports`, which is exact because psi is
-    additive.  Each target is counted by `word_counts`: its factors
+    No word list is built.  The images of the base words come from
+    `image_counts`, and the summed images of the quotient words from
+    `psi_supports`.  Each target is counted by `word_counts`: its factors
     are strongly regular (FactorRegistry checks it), so each has exactly
     one identity and n - 1 letters.
 
@@ -585,9 +594,8 @@ def quotient_conjecture_report(
     images lie among the target's words, and a covering flag is true
     exactly when the per-length counts are equal.
 
-    The budget is `image_counts`'.  `word_counts` is arithmetic over the
-    max_len it admits, and `psi_supports` keeps deduplicated states,
-    bounded by the direct sum, so neither is charged.
+    The budget is `image_counts`'.  `word_counts` is arithmetic, and
+    `psi_supports` keeps states bounded by the direct sum.
     """
     if len(factors) != len(subs):
         raise errors.ShapeMismatch("one subhypergroup per factor required")
@@ -595,22 +603,16 @@ def quotient_conjecture_report(
     qreg, coset_maps = _quotient_registry(factors, subs)
 
     # Words over the quotient factors vs coset images of base words.
-    states = image_counts(base, qreg, coset_maps, max_len)
-    covered = set().union(*(image for _, image in states))
-    kernel_images = sum(
-        count for (_, image), count in states.items() if EMPTY_WORD in image
-    )
-    sub_sizes = [
-        sum(x != base.identities[i] for x in K) for i, K in enumerate(subs)
-    ]
+    walk = image_counts(base, qreg, coset_maps, max_len)
+    covered_counts = walk.counts(walk.covered(), max_len)
+    sub_sizes = [sum(x != e for x in K) for e, K in zip(base.identities, subs)]
     sub_words = sum(word_counts(sub_sizes, max_len))
-    q_counts = _target_counts(qreg, max_len)
-    covered_counts = _counts_by_length(_word_lengths(covered), max_len)
+    q_counts = word_counts([Q.n - 1 for Q in qreg.factors], max_len)
     formula_product = {
         "quotient_word_counts": q_counts,
         "covered_image_counts": covered_counts,
         "all_quotient_words_covered": covered_counts == q_counts,
-        "base_words_with_identity_image": kernel_images,
+        "base_words_with_identity_image": walk.kernel,
         "sub_product_words": sub_words,
     }
 
@@ -629,12 +631,9 @@ def quotient_conjecture_report(
         )
         for Q, T, qmap, tmap in zip(qreg.factors, treg.factors, coset_maps, fund_maps)
     )
-    distinct_fund = {
-        min(image, key=ReducedWord.sort_key)
-        for _, image in image_counts(base, treg, fund_maps, max_len)
-    }
-    t_counts = _target_counts(treg, max_len)
-    fund_counts = _counts_by_length(_word_lengths(distinct_fund), max_len)
+    walk = image_counts(base, treg, fund_maps, max_len)
+    fund_counts = walk.counts(walk.least(), max_len)
+    t_counts = word_counts([Q.n - 1 for Q in treg.factors], max_len)
     formula_fund = {
         "per_factor_quotients_isomorphic": per_factor_iso,
         "target_word_counts": t_counts,
@@ -647,13 +646,11 @@ def quotient_conjecture_report(
     gamma_lifts = [hyperproduct(H, derived(H), K) for H, K in zip(factors, subs)]
     greg, _ = _quotient_registry(factors, gamma_lifts)
     by_support = _counts_by_length(map(len, psi_supports(qreg, max_len)), max_len)
-    claimed = _target_counts(greg, max_len)
+    claimed = word_counts([Q.n - 1 for Q in greg.factors], max_len)
     formula_comm = {
         "summed_image_counts_by_support": by_support,
         "claimed_word_counts_by_length": claimed,
         "counts_agree": by_support == claimed,
     }
 
-    return QuotientConjectureReport(
-        max_len, formula_product, formula_fund, formula_comm
-    )
+    return QuotientConjectureReport(max_len, formula_product, formula_fund, formula_comm)

@@ -69,17 +69,19 @@ def gamma_oracle(
     of the product of any reordering; the result is transitively closed.
     Independent of gamma()'s closure/quotient route by construction.
 
-    The budget counts the block masks the kernel keeps: one line of n
-    masks per multiset of length <= nmax - 2, so by the hockey-stick
-    identity n * comb(n + nmax - 2, nmax - 2), and none at nmax = 1.
+    The budget counts the kernel's lines: n block masks per multiset of
+    length <= nmax - 2, keyed by its letters.  By the hockey-stick identity
+    and k * comb(n + k - 1, k) = n * comb(n + k - 1, k - 1), that is
+    n * comb(n + nmax - 2, nmax - 2) masks and n * comb(n + nmax - 2, nmax - 3) letters.
     """
     if nmax < 1:
         raise errors.HyperError(f"nmax must be at least 1, got {nmax}")
     masks = H.n * comb(H.n + nmax - 2, nmax - 2) if nmax > 1 else 0
-    if masks > budget:
+    letters = H.n * comb(H.n + nmax - 2, nmax - 3) if nmax > 2 else 0
+    if masks + letters > budget:
         raise errors.BudgetExceeded(
-            f"gamma oracle: {masks} block masks by length {nmax}, "
-            f"over the budget of {budget}"
+            f"gamma oracle: {masks} block masks and {letters} key letters "
+            f"by length {nmax}, over the budget of {budget}"
         )
     parents = kernels.oracle_merge(H.rows, H.n, nmax)
     return Partition(H.n, parents)

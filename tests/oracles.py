@@ -51,11 +51,15 @@ and direct_product here are the direct routes: a loop over every triple
 in (a, b, c) order that stops at the first failure, a product of every
 distinct ordering of every multiset, and one bit per pair of members.
 
-The library counts the letterwise images of the base words of a free
-product per distinct state, and sums the direct-sum images of the
-quotient words per (last factor, sum) state; quotient_conjecture_report
-here lists every base word and projects each one, and maps every
-quotient word through psi_support.
+The library walks the letterwise images of the base words of a free
+product layer by layer, over integer ids of the target's words, and
+folds each layer into the covered ids, the least word of each image and
+the base words whose image holds the empty word; it sums the direct-sum
+images of the quotient words per (last factor, sum) state.
+image_counts here keeps every (last factor, image) state with its
+images as frozensets of ReducedWord, and quotient_conjecture_report
+lists every base word and projects each one, and maps every quotient
+word through psi_support.
 
 The library reads psi from the gamma* classes of each factor table.
 psi_support here is the composite route: phi onto the free product of
@@ -72,6 +76,7 @@ Test use only.
 import json
 import random
 from functools import lru_cache
+from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
 from typing import NamedTuple
 
@@ -92,10 +97,11 @@ from hyperkernel.freeprod import (
     QuotientConjectureReport,
     ReducedWord,
     _counts_by_length,
-    _word_lengths,
+    embed,
     enumerate_words,
     inverse_word,
     multiply,
+    multiply_sets,
     phi,
     project,
 )
@@ -628,6 +634,43 @@ def find_isomorphism(T1: HyperTable, T2: HyperTable) -> tuple[int, ...] | None:
         return None
 
     return backtrack([])
+
+
+def _word_lengths(words):
+    return (len(w.letters) for w in words)
+
+
+def image_counts(base, target, class_maps, max_len: int) -> dict:
+    """freeprod.image_counts by state: each (last base factor, image) the
+    base words of length <= max_len reach, with their number.
+
+    The image is the frozenset of `ReducedWord`s that `project` gives;
+    the empty word's state has last factor -1.  Letters of a factor that
+    share a class are taken once with their multiplicity, and each image
+    times a letter is multiplied out once through `multiply_sets`.
+    """
+    letters = []
+    for i, H in enumerate(base.factors):
+        mult = Counter(class_maps[i][x] for x in range(H.n) if x != base.identities[i])
+        letters.append([(embed(target, i, c), m) for c, m in mult.items()])
+    step = {}
+    layer = {(-1, frozenset([EMPTY_WORD])): 1}
+    states = dict(layer)
+    for _ in range(max_len):
+        nxt = {}
+        for (last, image), count in layer.items():
+            for i, choices in enumerate(letters):
+                if i == last:
+                    continue
+                for w, m in choices:
+                    if (image, w) not in step:
+                        step[image, w] = multiply_sets(target, image, [w])
+                    state = (i, step[image, w])
+                    nxt[state] = nxt.get(state, 0) + count * m
+        for state, count in nxt.items():
+            states[state] = states.get(state, 0) + count
+        layer = nxt
+    return states
 
 
 def quotient_conjecture_report(

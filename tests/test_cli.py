@@ -234,9 +234,10 @@ class TestBudgetRefusals:
         code, _, err = run(capsys, "gamma", "h9", "--oracle", "--nmax", "1000000000")
         assert code == 2
         masks = 9 * comb(10**9 + 7, 10**9 - 2)
+        letters = 9 * comb(10**9 + 7, 10**9 - 3)
         assert err == (
-            f"hyperkernel: gamma oracle: {masks} block masks by length 1000000000, "
-            "over the budget of 4000000\n"
+            f"hyperkernel: gamma oracle: {masks} block masks and {letters} key "
+            "letters by length 1000000000, over the budget of 4000000\n"
         )
 
     def test_conjectures(self, capsys):
@@ -246,7 +247,7 @@ class TestBudgetRefusals:
         )
         assert code == 2
         assert err == (
-            "hyperkernel: conjecture images: charged 500000000500000000 letters "
+            "hyperkernel: conjecture images: charged 500000000500000000 word ids "
             "by length 1000000000, over the budget of 4000000\n"
         )
 
@@ -259,7 +260,7 @@ class TestBudgetRefusals:
         )
         assert (code, out) == (2, "")
         assert err == (
-            "hyperkernel: conjecture images: charged 200010000 letters "
+            "hyperkernel: conjecture images: charged 200010000 word ids "
             "by length 20000, over the budget of 4000000\n"
         )
 
@@ -273,7 +274,7 @@ class TestBudgetRefusals:
         )
         assert (code, out) == (2, "")
         assert err == (
-            "hyperkernel: conjecture images: charged 12500002500000 letters "
+            "hyperkernel: conjecture images: charged 12500002500000 word ids "
             "by length 5000000, over the budget of 4000000\n"
         )
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -599,6 +600,47 @@ def _normal_subs(H):
     return [e.members for e in subhypergroups(H).all if e.normal]
 
 
+# Factor pairs of the state tests; "d" is S4//<(01)(23)>.
+PAIRS = [("h9", "v4"), ("h9", "s3"), ("h9", "h9"), ("d", "z2"), ("d", "s3"), ("d", "h9")]
+
+
+def _targets(first, second):
+    """The base registry of a pair, and for every pair of normal K_i the
+    (registry, class maps) of the quotient and of the fundamental target."""
+    tables = {**corpus.fixtures(), "d": s4_mod_double_transposition()}
+    factors = [tables[first], tables[second]]
+
+    def target(subs):
+        reg = FactorRegistry([quotient_hypergroup(H, K) for H, K in zip(factors, subs)])
+        return reg, [congruence_mod(H, K).class_of for H, K in zip(factors, subs)]
+
+    targets = []
+    for K1 in _normal_subs(factors[0]):
+        for K2 in _normal_subs(factors[1]):
+            lifted = [hyperproduct(H, heart(H), K) for H, K in zip(factors, [K1, K2])]
+            targets.append((target([K1, K2]), target(lifted)))
+    return FactorRegistry(factors), targets
+
+
+def _check_walk(base, reg, maps, max_len):
+    """The walk's aggregates against the states of the oracle's walk."""
+    walk = image_counts(base, reg, maps, max_len)
+    states = oracles.image_counts(base, reg, maps, max_len)
+    images = {image for _, image in states}
+    assert all(len(ids) > 1 for ids in walk.images if type(ids) is frozenset)
+    assert {
+        frozenset(map(walk.word, ids if type(ids) is frozenset else [ids])) for ids in walk.images
+    } == images
+    covered = set().union(*images)
+    least = {min(image, key=ReducedWord.sort_key) for image in images}
+    for ids, words in ((walk.covered(), covered), (walk.least(), least)):
+        assert {walk.word(w) for w in ids} == words
+        assert walk.counts(ids, max_len) == [
+            sum(len(w.letters) == k for w in words) for k in range(max_len + 1)
+        ]
+    assert walk.kernel == sum(c for (_, image), c in states.items() if EMPTY_WORD in image)
+
+
 class TestStateCounts:
     """The state-count report against the per-word oracle."""
 
@@ -625,42 +667,65 @@ class TestStateCounts:
                         *args
                     ) == oracles.quotient_conjecture_report(*args)
 
-    @pytest.mark.parametrize(
-        "first, second",
-        [("h9", "v4"), ("h9", "s3"), ("h9", "h9"),
-         ("d", "z2"), ("d", "s3"), ("d", "h9")],
-    )
+    @pytest.mark.parametrize("first, second", PAIRS)
     def test_images_are_target_words(self, first, second):
         # The report counts the target words instead of listing them, and
         # reads covering off equal counts; both need every image word to be
         # a target word of length <= max_len.
-        tables = {**corpus.fixtures(), "d": s4_mod_double_transposition()}
-        factors = [tables[first], tables[second]]
-        base = FactorRegistry(factors)
+        base, targets = _targets(first, second)
+        for (qreg, qmaps), (treg, tmaps) in targets:
+            for max_len in (1, 2, 3):
+                walks = [(reg, image_counts(base, reg, maps, max_len))
+                         for reg, maps in ((qreg, qmaps), (treg, tmaps))]
+                for reg, walk in walks:
+                    for w in walk.covered():
+                        word = make_word(reg, walk.word(w).letters)
+                        assert len(word.letters) <= max_len
+                _, walk = walks[0]
+                assert {walk.word(w) for w in walk.covered()} == set(enumerate_words(qreg, max_len))
 
-        def target(subs):
-            reg = FactorRegistry(
-                [quotient_hypergroup(H, K) for H, K in zip(factors, subs)]
-            )
-            return reg, [congruence_mod(H, K).class_of for H, K in zip(factors, subs)]
-
-        for K1 in _normal_subs(factors[0]):
-            for K2 in _normal_subs(factors[1]):
-                qreg, qmaps = target([K1, K2])
-                lifted = [
-                    hyperproduct(H, heart(H), K) for H, K in zip(factors, [K1, K2])
-                ]
-                treg, tmaps = target(lifted)
+    @pytest.mark.parametrize("first, second", PAIRS)
+    def test_walk_matches_state_oracle(self, first, second):
+        base, targets = _targets(first, second)
+        for target in targets:
+            for reg, maps in target:
                 for max_len in (1, 2, 3):
-                    q_states = image_counts(base, qreg, qmaps, max_len)
-                    t_states = image_counts(base, treg, tmaps, max_len)
-                    for reg, states in ((qreg, q_states), (treg, t_states)):
-                        for _, image in states:
-                            for w in image:
-                                assert make_word(reg, w.letters) == w
-                                assert len(w.letters) <= max_len
-                    covered = set().union(*(image for _, image in q_states))
-                    assert covered == set(enumerate_words(qreg, max_len))
+                    _check_walk(base, reg, maps, max_len)
+
+    def test_walk_matches_state_oracle_on_three_factors(self, h9):
+        # Id order is not ReducedWord.sort_key order on three factors, so
+        # the least word of each image is checked here too.
+        G, V = corpus.symmetric_group_3(), corpus.klein_four()
+        factors = [h9, G, V]
+        subs = [h9.subset(["e", "a"]), G.subset(["e", "r", "rr"]), V.subset(["e", "a"])]
+        base = FactorRegistry(factors)
+        for targets in (subs, [hyperproduct(H, heart(H), K) for H, K in zip(factors, subs)]):
+            reg = FactorRegistry([quotient_hypergroup(H, K) for H, K in zip(factors, targets)])
+            maps = [congruence_mod(H, K).class_of for H, K in zip(factors, targets)]
+            for max_len in (1, 2, 3):
+                _check_walk(base, reg, maps, max_len)
+
+    def test_walk_matches_state_oracle_on_h9_h9_at_length_four(self):
+        base, targets = _targets("h9", "h9")
+        for target in targets:
+            for reg, maps in target:
+                _check_walk(base, reg, maps, 4)
+
+    def test_walk_memory_on_h9_h9(self, h9):
+        # The walk keeps int ids, one layer of states and the images seen;
+        # frozensets of ReducedWord peak near 35 MB here.
+        K = h9.subset(["e", "a"])
+        base = FactorRegistry([h9, h9])
+        target = FactorRegistry([quotient_hypergroup(h9, K)] * 2)
+        maps = [congruence_mod(h9, K).class_of] * 2
+        tracemalloc.start()
+        try:
+            walk = image_counts(base, target, maps, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert walk.counts(walk.covered(), 6) == word_counts([5, 5], 6)
+        assert peak < 15_000_000
 
     def test_matches_per_word_oracle_on_h9_h9_at_length_four(self, h9):
         K = h9.subset(["e", "a"])
@@ -668,9 +733,10 @@ class TestStateCounts:
         assert quotient_conjecture_report(*args) == oracles.quotient_conjecture_report(*args)
 
     def test_budget_threshold(self, h9, monkeypatch):
-        # Each image walk charges k per layer and k per state first reached
-        # at length k, counted here from one projection per base word; the
-        # oracle route counts the base words it lists.
+        # Each image walk charges k per layer and one per id each layer
+        # stores, per (last factor, image) state reached at that length,
+        # counted here from one projection per base word; the oracle route
+        # counts the base words it lists.
         G = corpus.klein_four()
         factors = [h9, G]
         subs = [h9.subset(["e", "a"]), G.subset(["e", "a"])]
@@ -680,15 +746,16 @@ class TestStateCounts:
         for targets in (subs, lifted):
             reg = FactorRegistry([quotient_hypergroup(H, K) for H, K in zip(factors, targets)])
             maps = [congruence_mod(H, K).class_of for H, K in zip(factors, targets)]
-            first = {}
+            stored = {}
             for w in enumerate_words(base, 3):
-                last = w.letters[-1].factor if w.letters else -1
-                first.setdefault((last, project(reg, w, maps)), len(w.letters))
-            spend = max(spend, 3 * 4 // 2 + sum(first.values()))
+                if w.letters:
+                    image = project(reg, w, maps)
+                    stored[len(w.letters), w.letters[-1].factor, image] = len(image)
+            spend = max(spend, 3 * 4 // 2 + sum(stored.values()))
         words = len(enumerate_words(base, 3))
         for route, name, limit, message in (
             (quotient_conjecture_report, "IMAGE_BUDGET", spend,
-             f"conjecture images: charged {spend} letters by length 3, "
+             f"conjecture images: charged {spend} word ids by length 3, "
              f"over the budget of {spend - 1}"),
             (oracles.quotient_conjecture_report, "DEFAULT_WORD_BUDGET", words,
              f"more than {words - 1} words below length 3"),
@@ -702,17 +769,19 @@ class TestStateCounts:
             monkeypatch.undo()
 
     def test_one_letter_factors_are_charged_by_length(self):
-        # Two states per layer on z2, z2: the layers and states together
-        # charge 3 * L * (L + 1) / 2, which passes 4,000,000 at L = 1633.
+        # Two states of one id per layer on z2, z2: the layers and ids
+        # together charge L * (L + 1) / 2 + 2 * L, which passes 4,000,000
+        # at L = 2826, by the second id of layer 2725.
         reg = FactorRegistry([corpus.cyclic_group(2)] * 2)
         maps = [[0, 1], [0, 1]]
-        assert len(image_counts(reg, reg, maps, 1632)) == 1 + 2 * 1632
+        walk = image_counts(reg, reg, maps, 2825)
+        assert len(walk.images) == 1 + 2 * 2825
         message = (
-            "conjecture images: charged 4000850 letters by length 1633, "
+            "conjecture images: charged 4000001 word ids by length 2725, "
             "over the budget of 4000000"
         )
         with pytest.raises(errors.BudgetExceeded) as exc:
-            image_counts(reg, reg, maps, 1633)
+            image_counts(reg, reg, maps, 2826)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize(
@@ -742,4 +811,4 @@ class TestStateCounts:
         for w in words:
             state = (w.letters[-1].factor if w.letters else -1, project(target, w, maps))
             want[state] = want.get(state, 0) + 1
-        assert image_counts(base, target, maps, 3) == want
+        assert oracles.image_counts(base, target, maps, 3) == want

@@ -126,31 +126,56 @@ class TestGamma:
             gamma_oracle(h9, nmax=4, budget=100)
 
     def test_oracle_budget_counts_block_masks_in_closed_form(self, h9):
-        # 9 * comb(9 + nmax - 2, nmax - 2) masks: 90 at nmax 3, 495 at
-        # nmax 4, and nmax - 1 on a one-element carrier
-        message = "^gamma oracle: 495 block masks by length 4, over the budget of 100$"
+        # 9 * comb(9 + nmax - 2, nmax - 2) masks and 9 * comb(9 + nmax - 2,
+        # nmax - 3) key letters: 90 and 9 at nmax 3, 495 and 99 at nmax 4;
+        # nmax - 1 and comb(nmax - 1, 2) on a one-element carrier
+        message = (
+            "^gamma oracle: 495 block masks and 99 key letters by length 4, "
+            "over the budget of 100$"
+        )
         with pytest.raises(errors.BudgetExceeded, match=message):
             gamma_oracle(h9, nmax=4, budget=100)
-        assert gamma_oracle(h9, nmax=3, budget=90) == gamma_oracle(h9, nmax=3)
-        with pytest.raises(errors.BudgetExceeded, match="^gamma oracle: 90 block masks "):
-            gamma_oracle(h9, nmax=3, budget=89)
+        assert gamma_oracle(h9, nmax=3, budget=99) == gamma_oracle(h9, nmax=3)
+        with pytest.raises(errors.BudgetExceeded, match="^gamma oracle: 90 block masks and 9 key "):
+            gamma_oracle(h9, nmax=3, budget=98)
+        assert gamma_oracle(h9, nmax=2, budget=9) == gamma_oracle(h9, nmax=2)
         with pytest.raises(errors.BudgetExceeded, match="^gamma oracle: 999999999 block masks "):
             gamma_oracle(total_hypergroup(1), nmax=10**9, budget=100)
-        assert gamma_oracle(total_hypergroup(1), nmax=101, budget=100) == Partition.discrete(1)
+        assert gamma_oracle(total_hypergroup(1), nmax=14, budget=91) == Partition.discrete(1)
+        with pytest.raises(errors.BudgetExceeded, match="^gamma oracle: 13 block masks and 78 key "):
+            gamma_oracle(total_hypergroup(1), nmax=14, budget=90)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_oracle_budget_is_the_masks_the_kernel_keeps(self, n):
         # oracle_merge keeps the lines of _block_layers up to nmax - 1:
-        # n masks per multiset of length <= nmax - 2
+        # n masks per multiset of length <= nmax - 2, and its letters
         H = total_hypergroup(n)
         for nmax in range(1, 7):
-            layers = zip(range(1, nmax), kernels._block_layers(n, kernels._Products(H.rows)))
-            held = sum(len(row) for _, (line, _) in layers for row in line.values())
-            assert held == (n * comb(n + nmax - 2, nmax - 2) if nmax > 1 else 0)
+            lines = [line for _, (line, _) in zip(
+                range(1, nmax), kernels._block_layers(n, kernels._Products(H.rows))
+            )]
+            masks = sum(len(row) for line in lines for row in line.values())
+            letters = sum(len(key) for line in lines for key in line)
+            assert masks == (n * comb(n + nmax - 2, nmax - 2) if nmax > 1 else 0)
+            assert letters == (n * comb(n + nmax - 2, nmax - 3) if nmax > 2 else 0)
+            held = masks + letters
             assert gamma_oracle(H, nmax=nmax, budget=held) == gamma_oracle(H, nmax=nmax)
             if held:
                 with pytest.raises(errors.BudgetExceeded):
                     gamma_oracle(H, nmax=nmax, budget=held - 1)
+
+    @pytest.mark.parametrize(
+        "nmax, masks, letters", [(2829, 2828, 3997378), (4000, 3999, 7994001)]
+    )
+    def test_oracle_budget_bounds_the_one_element_table(self, nmax, masks, letters):
+        # One mask per length but a key of k letters at length k: the
+        # letters refuse it before the kernel's quadratic work starts.
+        with pytest.raises(errors.BudgetExceeded) as exc:
+            gamma_oracle(total_hypergroup(1), nmax=nmax)
+        assert str(exc.value) == (
+            f"gamma oracle: {masks} block masks and {letters} key letters "
+            f"by length {nmax}, over the budget of 4000000"
+        )
 
     def test_oracle_at_length_eight_matches_gamma(self, h9):
         # 9 * comb(15, 6) = 45,045 masks, inside the default budget
