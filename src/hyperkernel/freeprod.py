@@ -13,11 +13,11 @@ asserted on every multiplication rather than assumed.
 
 A set of words is a plain frozenset.  The canonical order of words
 (`ReducedWord.sort_key`: length, then factors, then elements) is applied
-only where order shows: printed word lists and an image's least word.
+only where order shows: printed word lists.
 
 The conjecture report lists no words.  `word_counts` counts words by
 length; `image_counts` walks the base words' images layer by layer over
-integer word ids, and folds each layer into the images met.  psi is a
+integer word ids, and folds each layer into the ids covered.  psi is a
 homomorphism into the direct sum, so `psi_supports` adds letter images
 over (last factor, direct-sum element) states.
 
@@ -117,9 +117,6 @@ class FactorRegistry:
         if not 0 <= elem < self.factors[factor].n:
             raise errors.UnknownLabel(f"element {elem} outside factor {factor}")
         return Letter(factor, elem)
-
-    def inverse_letter(self, l: Letter) -> Letter:
-        return Letter(l.factor, self.inverses[l.factor][l.elem])
 
     def fundamental_registry(self) -> "FactorRegistry":
         """Registry of the fundamental groups."""
@@ -258,7 +255,7 @@ def make_word(registry: FactorRegistry, letters: Iterable[Letter]) -> ReducedWor
 def inverse_word(registry: FactorRegistry, w: ReducedWord) -> ReducedWord:
     """Reversed word with each letter replaced by its unique inverse."""
     return ReducedWord(
-        tuple(registry.inverse_letter(l) for l in reversed(w.letters))
+        tuple(Letter(l.factor, registry.inverses[l.factor][l.elem]) for l in reversed(w.letters))
     )
 
 
@@ -418,18 +415,18 @@ def word_counts(sizes: Sequence[int], max_len: int) -> list[int]:
 
 
 class ImageWalk(NamedTuple):
-    """The images `image_counts` met, over word ids of its target.
+    """The word ids of its target that `image_counts` met in any image.
 
     Id 0 is the empty word, and a word's id is its parent's id shifted
     left by `shift` bits, ORed with one plus its last letter's index in
     `letters`: k letters take more than (k - 1) * shift bits and at most
-    k * shift.  An image is an id if it holds one word, else a frozenset
-    of ids.  `kernel` counts the base words whose image holds id 0.
+    k * shift.  `covered` holds every id of every image, and `kernel`
+    counts the base words whose image holds id 0.
     """
 
     shift: int
     letters: tuple[Letter, ...]
-    images: set
+    covered: set[int]
     kernel: int
 
     def word(self, w: int) -> ReducedWord:
@@ -439,17 +436,8 @@ class ImageWalk(NamedTuple):
             w >>= self.shift
         return ReducedWord(tuple(reversed(out)))
 
-    def covered(self) -> set[int]:
-        return {w for ids in self.images for w in (ids if type(ids) is frozenset else (ids,))}
-
-    def least(self) -> set[int]:
-        """Each image's least word by `ReducedWord.sort_key`, which ids follow
-        on two factors only."""
-        key = lambda w: self.word(w).sort_key()
-        return {min(ids, key=key) if type(ids) is frozenset else ids for ids in self.images}
-
-    def counts(self, ids: Iterable[int], max_len: int) -> list[int]:
-        return _counts_by_length((-(-w.bit_length() // self.shift) for w in ids), max_len)
+    def counts(self, max_len: int) -> list[int]:
+        return _counts_by_length((-(-w.bit_length() // self.shift) for w in self.covered), max_len)
 
 
 def image_counts(base: FactorRegistry, target: FactorRegistry,
@@ -459,8 +447,10 @@ def image_counts(base: FactorRegistry, target: FactorRegistry,
     A base word's image is what `project` gives for it.  Each layer maps
     each image, per last base factor, to the number of base words of its
     length reaching it, taking the letters of a factor that share a class
-    once with their multiplicity; it is folded into the `ImageWalk` and
-    dropped.  Boundary products are `multiply`'s, one per letter pair.
+    once with their multiplicity.  An image is an id if it holds one
+    word, else a frozenset of ids.  Once a layer is done, its images'
+    ids are folded into `ImageWalk.covered` and the layer is dropped.
+    Boundary products are `multiply`'s, one per letter pair.
 
     The walk is charged k per layer k, up front, and one per id each
     layer stores, which bounds one-letter factors too, whose ids grow as
@@ -492,7 +482,7 @@ def image_counts(base: FactorRegistry, target: FactorRegistry,
     for i, H in enumerate(base.factors):
         mult = Counter(class_maps[i][x] for x in range(H.n) if x != base.identities[i])
         steps.append([(code.get(embed(target, i, c), 0), m) for c, m in mult.items()])
-    layer, images, kernel = {-1: {0: 1}}, {0}, 1
+    layer, covered, kernel = {-1: {0: 1}}, {0}, 1
     spent = _charged(max_len * (max_len + 1) // 2, max_len)
     for k in range(1, max_len + 1):
         nxt: dict[int, dict] = {i: {} for i in range(len(steps))}
@@ -505,11 +495,11 @@ def image_counts(base: FactorRegistry, target: FactorRegistry,
                             spent = _charged(spent + (1 if type(out) is int else len(out)), k)
                         into[out] = into.get(out, 0) + count * m
         for states in nxt.values():
-            images.update(states)
+            covered.update(w for ids in states for w in ((ids,) if type(ids) is int else ids))
             kernel += sum(c for ids, c in states.items()
                           if ids == 0 or type(ids) is frozenset and 0 in ids)
         layer = nxt
-    return ImageWalk(shift, letters, images, kernel)
+    return ImageWalk(shift, letters, covered, kernel)
 
 
 def _charged(spent: int, k: int) -> int:
@@ -594,6 +584,12 @@ def quotient_conjecture_report(
     images lie among the target's words, and a covering flag is true
     exactly when the per-length counts are equal.
 
+    On the fundamental side each image is one word, so the covered ids
+    count the images.  beta(x) = x*S_beta (Corsini, Prolegomena, 1993),
+    so S_beta K_i is a union of beta classes, and H_i/(S_beta K_i), a
+    quotient of the fundamental group, is a group.  A target that is
+    not a group raises `NotStronglyRegular`, naming its factor.
+
     The budget is `image_counts`'.  `word_counts` is arithmetic, and
     `psi_supports` keeps states bounded by the direct sum.
     """
@@ -604,7 +600,7 @@ def quotient_conjecture_report(
 
     # Words over the quotient factors vs coset images of base words.
     walk = image_counts(base, qreg, coset_maps, max_len)
-    covered_counts = walk.counts(walk.covered(), max_len)
+    covered_counts = walk.counts(max_len)
     sub_sizes = [sum(x != e for x in K) for e, K in zip(base.identities, subs)]
     sub_words = sum(word_counts(sub_sizes, max_len))
     q_counts = word_counts([Q.n - 1 for Q in qreg.factors], max_len)
@@ -620,6 +616,9 @@ def quotient_conjecture_report(
     # groups of the quotient factors, then word counts of both targets.
     lifted = [hyperproduct(H, heart(H), K) for H, K in zip(factors, subs)]
     treg, fund_maps = _quotient_registry(factors, lifted)
+    for i, (H, L) in enumerate(zip(factors, lifted)):
+        if not quotient_by(H, congruence_mod(H, L)).is_group:
+            raise errors.NotStronglyRegular(f"factor {i}: H/(S_beta K) is not a group")
     # The canonical map sends the fundamental class of x's coset modulo
     # K_i to the class of x's coset modulo S_i K_i.
     per_factor_iso = all(
@@ -631,8 +630,7 @@ def quotient_conjecture_report(
         )
         for Q, T, qmap, tmap in zip(qreg.factors, treg.factors, coset_maps, fund_maps)
     )
-    walk = image_counts(base, treg, fund_maps, max_len)
-    fund_counts = walk.counts(walk.least(), max_len)
+    fund_counts = image_counts(base, treg, fund_maps, max_len).counts(max_len)
     t_counts = word_counts([Q.n - 1 for Q in treg.factors], max_len)
     formula_fund = {
         "per_factor_quotients_isomorphic": per_factor_iso,

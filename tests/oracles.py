@@ -53,8 +53,8 @@ distinct ordering of every multiset, and one bit per pair of members.
 
 The library walks the letterwise images of the base words of a free
 product layer by layer, over integer ids of the target's words, and
-folds each layer into the covered ids, the least word of each image and
-the base words whose image holds the empty word; it sums the direct-sum
+folds each layer into the covered ids and the count of base words
+whose image holds the empty word; it sums the direct-sum
 images of the quotient words per (last factor, sum) state.
 image_counts here keeps every (last factor, image) state with its
 images as frozensets of ReducedWord, and quotient_conjecture_report

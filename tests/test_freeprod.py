@@ -622,23 +622,20 @@ def _targets(first, second):
     return FactorRegistry(factors), targets
 
 
-def _check_walk(base, reg, maps, max_len):
-    """The walk's aggregates against the states of the oracle's walk."""
+def _check_walk(base, reg, maps, max_len, fundamental):
+    """The walk's aggregates against the states of the oracle's walk.  On
+    a fundamental target every state's image is one word, which is what
+    lets the report count the covered words as the images."""
     walk = image_counts(base, reg, maps, max_len)
     states = oracles.image_counts(base, reg, maps, max_len)
-    images = {image for _, image in states}
-    assert all(len(ids) > 1 for ids in walk.images if type(ids) is frozenset)
-    assert {
-        frozenset(map(walk.word, ids if type(ids) is frozenset else [ids])) for ids in walk.images
-    } == images
-    covered = set().union(*images)
-    least = {min(image, key=ReducedWord.sort_key) for image in images}
-    for ids, words in ((walk.covered(), covered), (walk.least(), least)):
-        assert {walk.word(w) for w in ids} == words
-        assert walk.counts(ids, max_len) == [
-            sum(len(w.letters) == k for w in words) for k in range(max_len + 1)
-        ]
+    covered = set().union(*(image for _, image in states))
+    assert {walk.word(w) for w in walk.covered} == covered
+    assert walk.counts(max_len) == [
+        sum(len(w.letters) == k for w in covered) for k in range(max_len + 1)
+    ]
     assert walk.kernel == sum(c for (_, image), c in states.items() if EMPTY_WORD in image)
+    if fundamental:
+        assert all(len(image) == 1 for _, image in states)
 
 
 class TestStateCounts:
@@ -678,41 +675,39 @@ class TestStateCounts:
                 walks = [(reg, image_counts(base, reg, maps, max_len))
                          for reg, maps in ((qreg, qmaps), (treg, tmaps))]
                 for reg, walk in walks:
-                    for w in walk.covered():
-                        word = make_word(reg, walk.word(w).letters)
-                        assert len(word.letters) <= max_len
-                _, walk = walks[0]
-                assert {walk.word(w) for w in walk.covered()} == set(enumerate_words(qreg, max_len))
+                    words = {walk.word(w) for w in walk.covered}
+                    for word in words:
+                        assert len(make_word(reg, word.letters).letters) <= max_len
+                    assert words == set(enumerate_words(reg, max_len))
 
     @pytest.mark.parametrize("first, second", PAIRS)
     def test_walk_matches_state_oracle(self, first, second):
         base, targets = _targets(first, second)
         for target in targets:
-            for reg, maps in target:
+            for fundamental, (reg, maps) in enumerate(target):
                 for max_len in (1, 2, 3):
-                    _check_walk(base, reg, maps, max_len)
+                    _check_walk(base, reg, maps, max_len, fundamental)
 
     def test_walk_matches_state_oracle_on_three_factors(self, h9):
-        # Id order is not ReducedWord.sort_key order on three factors, so
-        # the least word of each image is checked here too.
         G, V = corpus.symmetric_group_3(), corpus.klein_four()
         factors = [h9, G, V]
         subs = [h9.subset(["e", "a"]), G.subset(["e", "r", "rr"]), V.subset(["e", "a"])]
         base = FactorRegistry(factors)
-        for targets in (subs, [hyperproduct(H, heart(H), K) for H, K in zip(factors, subs)]):
+        lifted = [hyperproduct(H, heart(H), K) for H, K in zip(factors, subs)]
+        for fundamental, targets in enumerate((subs, lifted)):
             reg = FactorRegistry([quotient_hypergroup(H, K) for H, K in zip(factors, targets)])
             maps = [congruence_mod(H, K).class_of for H, K in zip(factors, targets)]
             for max_len in (1, 2, 3):
-                _check_walk(base, reg, maps, max_len)
+                _check_walk(base, reg, maps, max_len, fundamental)
 
     def test_walk_matches_state_oracle_on_h9_h9_at_length_four(self):
         base, targets = _targets("h9", "h9")
         for target in targets:
-            for reg, maps in target:
-                _check_walk(base, reg, maps, 4)
+            for fundamental, (reg, maps) in enumerate(target):
+                _check_walk(base, reg, maps, 4, fundamental)
 
     def test_walk_memory_on_h9_h9(self, h9):
-        # The walk keeps int ids, one layer of states and the images seen;
+        # The walk keeps int ids, one layer of states and the ids covered;
         # frozensets of ReducedWord peak near 35 MB here.
         K = h9.subset(["e", "a"])
         base = FactorRegistry([h9, h9])
@@ -724,8 +719,17 @@ class TestStateCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert walk.counts(walk.covered(), 6) == word_counts([5, 5], 6)
+        assert walk.counts(6) == word_counts([5, 5], 6)
         assert peak < 15_000_000
+
+    def test_fundamental_target_that_is_no_group_is_refused(self, h9, monkeypatch):
+        # Read with the heart {e}, the fundamental target of h9 would be the
+        # multi-valued h9/{e,a}, whose images are not all single words.
+        monkeypatch.setattr(freeprod, "heart", lambda H: H.subset(["e"]))
+        K = h9.subset(["e", "a"])
+        with pytest.raises(errors.NotStronglyRegular) as exc:
+            quotient_conjecture_report([h9, h9], [K, K], 2)
+        assert str(exc.value) == "factor 0: H/(S_beta K) is not a group"
 
     def test_matches_per_word_oracle_on_h9_h9_at_length_four(self, h9):
         K = h9.subset(["e", "a"])
@@ -775,7 +779,7 @@ class TestStateCounts:
         reg = FactorRegistry([corpus.cyclic_group(2)] * 2)
         maps = [[0, 1], [0, 1]]
         walk = image_counts(reg, reg, maps, 2825)
-        assert len(walk.images) == 1 + 2 * 2825
+        assert len(walk.covered) == 1 + 2 * 2825
         message = (
             "conjecture images: charged 4000001 word ids by length 2725, "
             "over the budget of 4000000"

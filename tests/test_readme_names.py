@@ -2,7 +2,8 @@
 
 Each layout row names its module in the first column.  In the second,
 a backticked bare identifier resolves as an attribute of that module,
-and `module.name` as an attribute of hyperkernel.module.  The Records
+`module.name` as an attribute of hyperkernel.module, and `Class.name`
+as an attribute of a class of that module.  The Records
 paragraph below the table names records of several modules, so a bare
 identifier there resolves in any of them or in the package itself.  A
 standard-library module, bare or as `module.name`, resolves too.
@@ -55,7 +56,8 @@ def _resolves(token: str, context: list) -> bool:
     head, _, attr = token.rpartition(".")
     if head:
         module = _module(head.removeprefix("hyperkernel."))
-        return module is not None and hasattr(module, attr)
+        owners = [module] if module is not None else [getattr(m, head, None) for m in context]
+        return any(o is not None and hasattr(o, attr) for o in owners)
     return token in sys.stdlib_module_names or any(hasattr(m, token) for m in context)
 
 
