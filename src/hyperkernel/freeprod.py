@@ -16,10 +16,11 @@ A set of words is a plain frozenset.  The canonical order of words
 only where order shows: printed word lists.
 
 The conjecture report lists no words.  `word_counts` counts words by
-length; `image_counts` walks the base words' images layer by layer over
-integer word ids, and folds each layer into the ids covered.  psi is a
-homomorphism into the direct sum, so `psi_supports` adds letter images
-over (last factor, direct-sum element) states.
+length, which is also what the images cover; `kernel_count` walks the
+base words' images layer by layer over integer word ids, counting those
+that hold the empty word.  psi is a homomorphism into the direct sum, so
+`psi_supports` adds letter images over (last factor, direct-sum element)
+states.
 
 The direct sum of the abelian groups H_i/gamma*(H_i) (`DirectSumFamily`)
 lives here, next to `psi`, its only user; the quotient and its
@@ -414,43 +415,19 @@ def word_counts(sizes: Sequence[int], max_len: int) -> list[int]:
     return counts
 
 
-class ImageWalk(NamedTuple):
-    """The word ids of its target that `image_counts` met in any image.
-
-    Id 0 is the empty word, and a word's id is its parent's id shifted
-    left by `shift` bits, ORed with one plus its last letter's index in
-    `letters`: k letters take more than (k - 1) * shift bits and at most
-    k * shift.  `covered` holds every id of every image, and `kernel`
-    counts the base words whose image holds id 0.
-    """
-
-    shift: int
-    letters: tuple[Letter, ...]
-    covered: set[int]
-    kernel: int
-
-    def word(self, w: int) -> ReducedWord:
-        out = []
-        while w:
-            out.append(self.letters[(w & (1 << self.shift) - 1) - 1])
-            w >>= self.shift
-        return ReducedWord(tuple(reversed(out)))
-
-    def counts(self, max_len: int) -> list[int]:
-        return _counts_by_length((-(-w.bit_length() // self.shift) for w in self.covered), max_len)
-
-
-def image_counts(base: FactorRegistry, target: FactorRegistry,
-                 class_maps: Sequence[Sequence[int]], max_len: int) -> ImageWalk:
-    """Letterwise images of the base words of length <= max_len.
+def kernel_count(base: FactorRegistry, target: FactorRegistry,
+                 class_maps: Sequence[Sequence[int]], max_len: int) -> int:
+    """Number of base words of length <= max_len whose image holds the
+    empty word.
 
     A base word's image is what `project` gives for it.  Each layer maps
     each image, per last base factor, to the number of base words of its
     length reaching it, taking the letters of a factor that share a class
-    once with their multiplicity.  An image is an id if it holds one
-    word, else a frozenset of ids.  Once a layer is done, its images'
-    ids are folded into `ImageWalk.covered` and the layer is dropped.
-    Boundary products are `multiply`'s, one per letter pair.
+    once with their multiplicity, and is dropped once the next is built.
+    An image is an id if it holds one word, else a frozenset of ids.
+    Id 0 is the empty word, and a word's id is its parent's id shifted
+    left by `shift` bits, ORed with one plus its last letter's index in
+    `letters`.  Boundary products are `multiply`'s, one per letter pair.
 
     The walk is charged k per layer k, up front, and one per id each
     layer stores, which bounds one-letter factors too, whose ids grow as
@@ -482,7 +459,7 @@ def image_counts(base: FactorRegistry, target: FactorRegistry,
     for i, H in enumerate(base.factors):
         mult = Counter(class_maps[i][x] for x in range(H.n) if x != base.identities[i])
         steps.append([(code.get(embed(target, i, c), 0), m) for c, m in mult.items()])
-    layer, covered, kernel = {-1: {0: 1}}, {0}, 1
+    layer, kernel = {-1: {0: 1}}, 1
     spent = _charged(max_len * (max_len + 1) // 2, max_len)
     for k in range(1, max_len + 1):
         nxt: dict[int, dict] = {i: {} for i in range(len(steps))}
@@ -495,11 +472,10 @@ def image_counts(base: FactorRegistry, target: FactorRegistry,
                             spent = _charged(spent + (1 if type(out) is int else len(out)), k)
                         into[out] = into.get(out, 0) + count * m
         for states in nxt.values():
-            covered.update(w for ids in states for w in ((ids,) if type(ids) is int else ids))
             kernel += sum(c for ids, c in states.items()
                           if ids == 0 or type(ids) is frozenset and 0 in ids)
         layer = nxt
-    return ImageWalk(shift, letters, covered, kernel)
+    return kernel
 
 
 def _charged(spent: int, k: int) -> int:
@@ -569,11 +545,11 @@ def quotient_conjecture_report(
 ) -> QuotientConjectureReport:
     """Compare both sides of each quotient formula on words of length <= max_len.
 
-    No word list is built.  The images of the base words come from
-    `image_counts`, and the summed images of the quotient words from
-    `psi_supports`.  Each target is counted by `word_counts`: its factors
-    are strongly regular (FactorRegistry checks it), so each has exactly
-    one identity and n - 1 letters.
+    No word list is built, and only what is not fixed in advance is
+    walked: the base words whose image holds the empty word, counted by
+    `kernel_count` over the quotient target.  Each target is counted by
+    `word_counts`: its factors are strongly regular (FactorRegistry
+    checks it), so each has exactly one identity and n - 1 letters.
 
     Every image word is a reduced word over its target registry, of
     length <= max_len.  `project` multiplies one embedded letter (or the
@@ -581,34 +557,43 @@ def quotient_conjecture_report(
     one letter and returns reduced words: a boundary product keeps one
     non-identity letter between letters of other factors, and an
     identity member is dropped only when the letters cancel.  So the
-    images lie among the target's words, and a covering flag is true
-    exactly when the per-length counts are equal.
+    images lie among the target's words.  Conversely a reduced target
+    word c1@i1 ... ck@ik is the image of its letterwise lift x1@i1 ...
+    xk@ik, with xj in the class cj: no xj is an identity, because no cj
+    is the identity class, and adjacent letters of different factors
+    just concatenate.  So the images cover exactly the target's words,
+    and their counts are the target's word counts.
 
-    On the fundamental side each image is one word, so the covered ids
-    count the images.  beta(x) = x*S_beta (Corsini, Prolegomena, 1993),
-    so S_beta K_i is a union of beta classes, and H_i/(S_beta K_i), a
-    quotient of the fundamental group, is a group.  A target that is
-    not a group raises `NotStronglyRegular`, naming its factor.
+    beta(x) = x*S_beta (Corsini, Prolegomena, 1993), so S_beta K_i is a
+    union of beta classes, and T_i = H_i/(S_beta K_i), a quotient of the
+    fundamental group, is a group.  A target that is not a group raises
+    `NotStronglyRegular`, naming its factor.  T_i is also a group image
+    of Q_i = H_i/K_i, so a base word's image over the T_i is a function
+    of its image over the Q_i: a walk over the T_i would store no more
+    states per layer than the walk over the Q_i, and the budget that
+    admits one admits both.
 
-    The budget is `image_counts`'.  `word_counts` is arithmetic, and
+    The budget is `kernel_count`'s.  `word_counts` is arithmetic, and
     `psi_supports` keeps states bounded by the direct sum.
     """
     if len(factors) != len(subs):
         raise errors.ShapeMismatch("one subhypergroup per factor required")
+    if max_len < 0:
+        raise errors.HyperError(f"max_len must be at least 0, got {max_len}")
     base = FactorRegistry(factors)
     qreg, coset_maps = _quotient_registry(factors, subs)
 
-    # Words over the quotient factors vs coset images of base words.
-    walk = image_counts(base, qreg, coset_maps, max_len)
-    covered_counts = walk.counts(max_len)
+    # Words over the quotient factors vs coset images of base words.  The
+    # walk goes first: its budget also bounds the max_len of the counts.
+    kernel = kernel_count(base, qreg, coset_maps, max_len)
     sub_sizes = [sum(x != e for x in K) for e, K in zip(base.identities, subs)]
     sub_words = sum(word_counts(sub_sizes, max_len))
     q_counts = word_counts([Q.n - 1 for Q in qreg.factors], max_len)
     formula_product = {
         "quotient_word_counts": q_counts,
-        "covered_image_counts": covered_counts,
-        "all_quotient_words_covered": covered_counts == q_counts,
-        "base_words_with_identity_image": walk.kernel,
+        "covered_image_counts": q_counts,
+        "all_quotient_words_covered": True,
+        "base_words_with_identity_image": kernel,
         "sub_product_words": sub_words,
     }
 
@@ -630,13 +615,12 @@ def quotient_conjecture_report(
         )
         for Q, T, qmap, tmap in zip(qreg.factors, treg.factors, coset_maps, fund_maps)
     )
-    fund_counts = image_counts(base, treg, fund_maps, max_len).counts(max_len)
     t_counts = word_counts([Q.n - 1 for Q in treg.factors], max_len)
     formula_fund = {
         "per_factor_quotients_isomorphic": per_factor_iso,
         "target_word_counts": t_counts,
-        "image_word_counts": fund_counts,
-        "images_cover_targets": fund_counts == t_counts,
+        "image_word_counts": t_counts,
+        "images_cover_targets": True,
     }
 
     # Commutative side: distinct summed images of quotient words against

@@ -53,13 +53,14 @@ distinct ordering of every multiset, and one bit per pair of members.
 
 The library walks the letterwise images of the base words of a free
 product layer by layer, over integer ids of the target's words, and
-folds each layer into the covered ids and the count of base words
-whose image holds the empty word; it sums the direct-sum
-images of the quotient words per (last factor, sum) state.
-image_counts here keeps every (last factor, image) state with its
-images as frozensets of ReducedWord, and quotient_conjecture_report
-lists every base word and projects each one, and maps every quotient
-word through psi_support.
+counts only the base words whose image holds the empty word; it takes
+the covered words to be the target's words, each the image of its
+letterwise lift, and sums the direct-sum images of the quotient words
+per (last factor, sum) state.  image_counts here keeps every (last
+factor, image) state with its images as frozensets of ReducedWord, and
+quotient_conjecture_report lists every base word, projects each one
+and collects the images, and maps every quotient word through
+psi_support.
 
 The library reads psi from the gamma* classes of each factor table.
 psi_support here is the composite route: phi onto the free product of
@@ -641,7 +642,7 @@ def _word_lengths(words):
 
 
 def image_counts(base, target, class_maps, max_len: int) -> dict:
-    """freeprod.image_counts by state: each (last base factor, image) the
+    """freeprod.kernel_count by state: each (last base factor, image) the
     base words of length <= max_len reach, with their number.
 
     The image is the frozenset of `ReducedWord`s that `project` gives;

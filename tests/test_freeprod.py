@@ -14,8 +14,8 @@ from hyperkernel.freeprod import (
     ReducedWord,
     embed,
     enumerate_words,
-    image_counts,
     inverse_word,
+    kernel_count,
     make_word,
     multiply,
     multiply_sets,
@@ -595,6 +595,32 @@ class TestConjectures:
             "counts_agree": False,
         }
 
+    def test_report_rejects_negative_max_len(self, h9):
+        K = h9.subset(["e", "a"])
+        with pytest.raises(errors.HyperError) as exc:
+            quotient_conjecture_report([h9, h9], [K, K], max_len=-1)
+        assert str(exc.value) == "max_len must be at least 0, got -1"
+        assert not isinstance(exc.value, errors.ResourceExhausted)
+        rep = quotient_conjecture_report([h9, h9], [K, K], max_len=0)
+        assert rep.free_product_of_quotients == {
+            "quotient_word_counts": [1],
+            "covered_image_counts": [1],
+            "all_quotient_words_covered": True,
+            "base_words_with_identity_image": 1,
+            "sub_product_words": 1,
+        }
+        assert rep.fundamental_formula == {
+            "per_factor_quotients_isomorphic": True,
+            "target_word_counts": [1],
+            "image_word_counts": [1],
+            "images_cover_targets": True,
+        }
+        assert rep.commutative_formula == {
+            "summed_image_counts_by_support": [1],
+            "claimed_word_counts_by_length": [1],
+            "counts_agree": True,
+        }
+
 
 def _normal_subs(H):
     return [e.members for e in subhypergroups(H).all if e.normal]
@@ -623,17 +649,13 @@ def _targets(first, second):
 
 
 def _check_walk(base, reg, maps, max_len, fundamental):
-    """The walk's aggregates against the states of the oracle's walk.  On
-    a fundamental target every state's image is one word, which is what
-    lets the report count the covered words as the images."""
-    walk = image_counts(base, reg, maps, max_len)
+    """The walk's kernel count against the states of the oracle's walk.
+    On a fundamental target every state's image is one word, since the
+    target is a group."""
     states = oracles.image_counts(base, reg, maps, max_len)
-    covered = set().union(*(image for _, image in states))
-    assert {walk.word(w) for w in walk.covered} == covered
-    assert walk.counts(max_len) == [
-        sum(len(w.letters) == k for w in covered) for k in range(max_len + 1)
-    ]
-    assert walk.kernel == sum(c for (_, image), c in states.items() if EMPTY_WORD in image)
+    assert kernel_count(base, reg, maps, max_len) == sum(
+        c for (_, image), c in states.items() if EMPTY_WORD in image
+    )
     if fundamental:
         assert all(len(image) == 1 for _, image in states)
 
@@ -664,21 +686,43 @@ class TestStateCounts:
                         *args
                     ) == oracles.quotient_conjecture_report(*args)
 
+    @staticmethod
+    def _assert_images_are_target_words(base, reg, maps, max_len):
+        # The report takes the image counts to be the target's word
+        # counts: the images lie among the target's words, and each target
+        # word is the image of its letterwise lift.  Checked here on the
+        # oracle's states, which project every base word.
+        states = oracles.image_counts(base, reg, maps, max_len)
+        words = set().union(*(image for _, image in states))
+        for word in words:
+            assert len(make_word(reg, word.letters).letters) <= max_len
+        assert words == set(enumerate_words(reg, max_len))
+
     @pytest.mark.parametrize("first, second", PAIRS)
     def test_images_are_target_words(self, first, second):
-        # The report counts the target words instead of listing them, and
-        # reads covering off equal counts; both need every image word to be
-        # a target word of length <= max_len.
         base, targets = _targets(first, second)
+        for target in targets:
+            for reg, maps in target:
+                for max_len in (1, 2, 3):
+                    self._assert_images_are_target_words(base, reg, maps, max_len)
+
+    @pytest.mark.parametrize("first, second", PAIRS)
+    def test_fundamental_images_follow_the_quotient_images(self, first, second):
+        # The report walks the quotient target only.  Each fundamental
+        # target is a group image of the quotient factor, so a base word's
+        # fundamental image is one word fixed by its quotient image: per
+        # (length, last factor) a fundamental walk would store at most as
+        # many ids as the quotient walk, and the budget admits both.
+        base, targets = _targets(first, second)
+        words = enumerate_words(base, 3)
         for (qreg, qmaps), (treg, tmaps) in targets:
-            for max_len in (1, 2, 3):
-                walks = [(reg, image_counts(base, reg, maps, max_len))
-                         for reg, maps in ((qreg, qmaps), (treg, tmaps))]
-                for reg, walk in walks:
-                    words = {walk.word(w) for w in walk.covered}
-                    for word in words:
-                        assert len(make_word(reg, word.letters).letters) <= max_len
-                    assert words == set(enumerate_words(reg, max_len))
+            follows = {}
+            for w in words:
+                last = w.letters[-1].factor if w.letters else -1
+                state = (len(w.letters), last, project(qreg, w, qmaps))
+                image = project(treg, w, tmaps)
+                assert len(image) == 1
+                assert follows.setdefault(state, image) == image
 
     @pytest.mark.parametrize("first, second", PAIRS)
     def test_walk_matches_state_oracle(self, first, second):
@@ -699,6 +743,7 @@ class TestStateCounts:
             maps = [congruence_mod(H, K).class_of for H, K in zip(factors, targets)]
             for max_len in (1, 2, 3):
                 _check_walk(base, reg, maps, max_len, fundamental)
+                self._assert_images_are_target_words(base, reg, maps, max_len)
 
     def test_walk_matches_state_oracle_on_h9_h9_at_length_four(self):
         base, targets = _targets("h9", "h9")
@@ -707,20 +752,21 @@ class TestStateCounts:
                 _check_walk(base, reg, maps, 4, fundamental)
 
     def test_walk_memory_on_h9_h9(self, h9):
-        # The walk keeps int ids, one layer of states and the ids covered;
-        # frozensets of ReducedWord peak near 35 MB here.
+        # The walk keeps int ids and one layer of states.  Frozensets of
+        # ReducedWord peak near 35 MB here, and a set of the ids covered
+        # near 7.8 MB, so the bound fails either.
         K = h9.subset(["e", "a"])
         base = FactorRegistry([h9, h9])
         target = FactorRegistry([quotient_hypergroup(h9, K)] * 2)
         maps = [congruence_mod(h9, K).class_of] * 2
         tracemalloc.start()
         try:
-            walk = image_counts(base, target, maps, 6)
+            kernel = kernel_count(base, target, maps, 6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert walk.counts(6) == word_counts([5, 5], 6)
-        assert peak < 15_000_000
+        assert kernel == 1663
+        assert peak < 7_000_000
 
     def test_fundamental_target_that_is_no_group_is_refused(self, h9, monkeypatch):
         # Read with the heart {e}, the fundamental target of h9 would be the
@@ -737,25 +783,22 @@ class TestStateCounts:
         assert quotient_conjecture_report(*args) == oracles.quotient_conjecture_report(*args)
 
     def test_budget_threshold(self, h9, monkeypatch):
-        # Each image walk charges k per layer and one per id each layer
-        # stores, per (last factor, image) state reached at that length,
-        # counted here from one projection per base word; the oracle route
-        # counts the base words it lists.
+        # The one walk, over the quotient target, charges k per layer and
+        # one per id each layer stores, per (last factor, image) state
+        # reached at that length, counted here from one projection per
+        # base word; the oracle route counts the base words it lists.
         G = corpus.klein_four()
         factors = [h9, G]
         subs = [h9.subset(["e", "a"]), G.subset(["e", "a"])]
         base = FactorRegistry(factors)
-        lifted = [hyperproduct(H, heart(H), K) for H, K in zip(factors, subs)]
-        spend = 0
-        for targets in (subs, lifted):
-            reg = FactorRegistry([quotient_hypergroup(H, K) for H, K in zip(factors, targets)])
-            maps = [congruence_mod(H, K).class_of for H, K in zip(factors, targets)]
-            stored = {}
-            for w in enumerate_words(base, 3):
-                if w.letters:
-                    image = project(reg, w, maps)
-                    stored[len(w.letters), w.letters[-1].factor, image] = len(image)
-            spend = max(spend, 3 * 4 // 2 + sum(stored.values()))
+        reg = FactorRegistry([quotient_hypergroup(H, K) for H, K in zip(factors, subs)])
+        maps = [congruence_mod(H, K).class_of for H, K in zip(factors, subs)]
+        stored = {}
+        for w in enumerate_words(base, 3):
+            if w.letters:
+                image = project(reg, w, maps)
+                stored[len(w.letters), w.letters[-1].factor, image] = len(image)
+        spend = 3 * 4 // 2 + sum(stored.values())
         words = len(enumerate_words(base, 3))
         for route, name, limit, message in (
             (quotient_conjecture_report, "IMAGE_BUDGET", spend,
@@ -778,14 +821,15 @@ class TestStateCounts:
         # at L = 2826, by the second id of layer 2725.
         reg = FactorRegistry([corpus.cyclic_group(2)] * 2)
         maps = [[0, 1], [0, 1]]
-        walk = image_counts(reg, reg, maps, 2825)
-        assert len(walk.covered) == 1 + 2 * 2825
+        # Only the empty word's image is empty; each layer's two words are
+        # not.
+        assert kernel_count(reg, reg, maps, 2825) == 1
         message = (
             "conjecture images: charged 4000001 word ids by length 2725, "
             "over the budget of 4000000"
         )
         with pytest.raises(errors.BudgetExceeded) as exc:
-            image_counts(reg, reg, maps, 2826)
+            kernel_count(reg, reg, maps, 2826)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize(
