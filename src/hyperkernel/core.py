@@ -148,14 +148,6 @@ class Partition:
         self.classes = tuple(ElementSet(n, m) for m in masks)
 
     @classmethod
-    def discrete(cls, n: int) -> "Partition":
-        return cls(n, range(n))
-
-    @classmethod
-    def single_class(cls, n: int) -> "Partition":
-        return cls(n, [0] * n)
-
-    @classmethod
     def from_classes(cls, n: int, classes: Iterable[Iterable[int]]) -> "Partition":
         class_of = [-1] * n
         for cid, members in enumerate(classes):
@@ -168,20 +160,6 @@ class Partition:
         if -1 in class_of:
             raise errors.ShapeMismatch("classes do not cover the carrier")
         return cls(n, class_of)
-
-    def relates(self, a: int, b: int) -> bool:
-        return self.class_of[a] == self.class_of[b]
-
-    def class_set(self, a: int) -> ElementSet:
-        return self.classes[self.class_of[a]]
-
-    def refines(self, other: "Partition") -> bool:
-        """True iff every pair related here is related in other."""
-        if self.n != other.n:
-            raise errors.ShapeMismatch("partitions over different carriers")
-        return all(
-            len({other.class_of[i] for i in block}) == 1 for block in self.classes
-        )
 
     def sort_key(self) -> tuple:
         return (len(self.classes), tuple(c.mask for c in self.classes))
@@ -305,9 +283,6 @@ class HyperTable:
 
     def carrier(self) -> ElementSet:
         return ElementSet(self.n, self.full_mask)
-
-    def cell_mask(self, a: int, b: int) -> int:
-        return self.rows[a][b]
 
     def cell(self, a: int, b: int) -> ElementSet:
         _check_elements(self.n, a, b)

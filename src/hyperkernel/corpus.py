@@ -1,15 +1,17 @@
-"""Built-in test corpus: named hypergroups used by fixtures and tests.
+"""The named fixtures that the command line accepts in place of files.
 
 h9 is the 9-element canonical hypergroup whose fundamental-group
 classes are {e,a,b,c}, {x,y}, {z,u}, {v}; h9-quotient is its quotient
 by the subhypergroup {e,a}, spelled out as a literal golden table.
+The wider corpus that the tests sweep is built from these in
+tests/generators.py.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from hyperkernel.core import HyperTable, direct_product, from_group, total_hypergroup
+from hyperkernel.core import HyperTable, from_group, total_hypergroup
 
 # Carrier order e a b c x y z u v -> 0..8.
 _H9_NAMES = ["e", "a", "b", "c", "x", "y", "z", "u", "v"]
@@ -84,13 +86,6 @@ def symmetric_group_3() -> HyperTable:
     return from_group(rows, names=names, name="s3")
 
 
-def pair_hypergroup(n: int, name: str | None = None) -> HyperTable:
-    """x*y = {x, y}: every nonempty subset is a subhypergroup, none of
-    the proper ones closed."""
-    rows = [[(1 << i) | (1 << j) for j in range(n)] for i in range(n)]
-    return HyperTable([str(i) for i in range(n)], rows, name)
-
-
 _FIXTURES = {
     "h9": h9,
     "h9-quotient": h9_quotient,
@@ -125,30 +120,3 @@ def fixtures() -> dict[str, HyperTable]:
     any command, each keeps a memo of its own.
     """
     return {name: fixture(name) for name in _FIXTURES}
-
-
-@lru_cache(maxsize=1)
-def corpus() -> dict[str, HyperTable]:
-    """The full desk-scale corpus the invariant checks run over."""
-    from hyperkernel.quotients import quotient_hypergroup
-
-    out = dict(fixtures())
-    out["z1"] = cyclic_group(1)
-    out["z5"] = cyclic_group(5)
-    out["z6"] = cyclic_group(6)
-    out["total5"] = total_hypergroup(5, name="total5")
-    out["pair3"] = pair_hypergroup(3, name="pair3")
-    out["pair4"] = pair_hypergroup(4, name="pair4")
-    t2 = out["total2"]
-    z2 = out["z2"]
-    out["t2xz2"] = direct_product(t2, z2, name="t2xz2")
-    out["t2xt2"] = direct_product(t2, t2, name="t2xt2")
-    H = out["h9"]
-    out["h9-mod-heart"] = quotient_hypergroup(H, H.subset(["e", "a", "b", "c"]))
-    Q = out["h9-quotient"]
-    out["h9q-mod-kernel"] = quotient_hypergroup(Q, Q.subset(["K", "bK"]))
-    return out
-
-
-def small_corpus(max_n: int) -> dict[str, HyperTable]:
-    return {name: H for name, H in corpus().items() if H.n <= max_n}

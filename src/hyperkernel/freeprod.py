@@ -37,12 +37,13 @@ from hyperkernel.core import (
     HyperTable,
     bits,
     hyperproduct,
+    hypergroup_witness,
     identities,
-    is_strongly_regular_hg,
     scalar_identity,
+    strongly_regular_witness,
     unique_inverses,
 )
-from hyperkernel.groups import inverses, isomorphic, products
+from hyperkernel.groups import isomorphic, products
 from hyperkernel.quotients import derived, heart, quotient_hypergroup
 from hyperkernel.relations import (
     beta,
@@ -93,7 +94,10 @@ class FactorRegistry:
     disjoint regardless of their labels.  The registry keeps what the
     word arithmetic reads per letter: each factor's identity and
     unique-inverse map.  Each factor's beta, heart and fundamental group
-    are read from the per-table memo where they are needed.
+    are read from the per-table memo where they are needed.  A factor is
+    checked by the witness functions of `core`: one that is not a
+    hypergroup raises `NotAHypergroup`, and one that is not strongly
+    regular `NotStronglyRegular`, each naming the factor's index.
     """
 
     def __init__(self, factors: Sequence[HyperTable]):
@@ -101,7 +105,9 @@ class FactorRegistry:
         if not self.factors:
             raise errors.ShapeMismatch("registry needs at least one factor")
         for i, H in enumerate(self.factors):
-            if not is_strongly_regular_hg(H):
+            if hypergroup_witness(H) is not None:
+                raise errors.NotAHypergroup(f"factor {i} is not a hypergroup")
+            if strongly_regular_witness(H) is not None:
                 raise errors.NotStronglyRegular(
                     f"factor {i} is not a strongly regular hypergroup"
                 )
@@ -109,7 +115,6 @@ class FactorRegistry:
         # lie in the other's inverse set C(x).
         self.identities = tuple(identities(H).indices()[0] for H in self.factors)
         self.inverses = tuple(unique_inverses(H) for H in self.factors)
-        self._fundamental_registry: "FactorRegistry | None" = None
         self._direct_sum_family: DirectSumFamily | None = None
 
     def letter(self, factor: int, elem: int) -> Letter:
@@ -118,13 +123,6 @@ class FactorRegistry:
         if not 0 <= elem < self.factors[factor].n:
             raise errors.UnknownLabel(f"element {elem} outside factor {factor}")
         return Letter(factor, elem)
-
-    def fundamental_registry(self) -> "FactorRegistry":
-        """Registry of the fundamental groups."""
-        if self._fundamental_registry is None:
-            groups = [fundamental_group(H, "operation") for H in self.factors]
-            self._fundamental_registry = FactorRegistry(groups)
-        return self._fundamental_registry
 
     def direct_sum_family(self) -> DirectSumFamily:
         if self._direct_sum_family is None:
@@ -189,9 +187,6 @@ class DirectSumElement:
         self.family = family
         self.support = tuple(sorted(support))
 
-    def is_zero(self) -> bool:
-        return not self.support
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, DirectSumElement)
@@ -209,12 +204,6 @@ class DirectSumElement:
             f"{i}->{self.family.abelianizations[i].names[c]}" for i, c in self.support
         )
         return f"DirectSumElement({parts})"
-
-    def __neg__(self) -> "DirectSumElement":
-        abelians = self.family.abelianizations
-        return DirectSumElement(
-            self.family, [(i, inverses(abelians[i])[c]) for i, c in self.support]
-        )
 
 
 def direct_sum_add(
@@ -251,13 +240,6 @@ def make_word(registry: FactorRegistry, letters: Iterable[Letter]) -> ReducedWor
             )
         prev = l.factor
     return ReducedWord(letters)
-
-
-def inverse_word(registry: FactorRegistry, w: ReducedWord) -> ReducedWord:
-    """Reversed word with each letter replaced by its unique inverse."""
-    return ReducedWord(
-        tuple(Letter(l.factor, registry.inverses[l.factor][l.elem]) for l in reversed(w.letters))
-    )
 
 
 def multiply(
@@ -346,10 +328,11 @@ def phi(registry: FactorRegistry, w: ReducedWord) -> ReducedWord:
 
     Each letter maps to its fundamental class; kernel letters vanish and
     adjacent same-factor classes multiply out, so the image is a single
-    reduced word over the fundamental-group registry.
+    reduced word over the registry of the factors' fundamental groups.
     """
     class_maps = [beta(H).class_of for H in registry.factors]
-    image = project(registry.fundamental_registry(), w, class_maps)
+    groups = FactorRegistry([fundamental_group(H, "operation") for H in registry.factors])
+    image = project(groups, w, class_maps)
     if len(image) != 1:
         raise errors.NotStronglyRegular(
             f"fundamental-group product gave {len(image)} words, not one"
@@ -406,7 +389,10 @@ def word_counts(sizes: Sequence[int], max_len: int) -> list[int]:
 
     Factor i supplies sizes[i] letters.  A word of length k+1 ending in
     factor i extends any word of length k that does not end in i.
+    Raises `BudgetExceeded` where `kernel_count` does before its first
+    layer: when the up-front layer charge passes `IMAGE_BUDGET`.
     """
+    _charged(max_len * (max_len + 1) // 2, max_len)
     counts = [1]
     ending = [0] * len(sizes)
     for _ in range(max_len):

@@ -70,9 +70,6 @@ class SubEntry(NamedTuple):
 class SubLattice(NamedTuple):
     all: tuple[SubEntry, ...]
 
-    def sets(self) -> tuple[ElementSet, ...]:
-        return tuple(entry.members for entry in self.all)
-
 
 def subhypergroups(H: HyperTable, budget: int = DEFAULT_CLOSED_SET_BUDGET) -> SubLattice:
     """Every subhypergroup with all classification flags, ascending by mask.

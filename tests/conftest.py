@@ -1,3 +1,4 @@
+import generators
 import pytest
 
 from hyperkernel import corpus
@@ -15,4 +16,4 @@ def h9q():
 
 @pytest.fixture(scope="session")
 def full_corpus():
-    return corpus.corpus()
+    return generators.corpus()

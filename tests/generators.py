@@ -1,9 +1,55 @@
-"""Structured generators of small hypergroups for the test sweeps."""
+"""Structured generators of small hypergroups for the test sweeps.
+
+`corpus` is the desk-scale corpus the invariant checks run over: the
+command line's fixtures plus a few more small tables, built once per
+process.
+"""
 
 import random
+from functools import lru_cache
 
-from hyperkernel import corpus
-from hyperkernel.core import HyperTable, bits, from_group, is_hypergroup
+from hyperkernel.core import (
+    HyperTable,
+    bits,
+    direct_product,
+    from_group,
+    is_hypergroup,
+    total_hypergroup,
+)
+from hyperkernel.corpus import cyclic_group, fixtures
+from hyperkernel.quotients import quotient_hypergroup
+
+
+def pair_hypergroup(n: int, name: str | None = None) -> HyperTable:
+    """x*y = {x, y}: every nonempty subset is a subhypergroup, none of
+    the proper ones closed."""
+    rows = [[(1 << i) | (1 << j) for j in range(n)] for i in range(n)]
+    return HyperTable([str(i) for i in range(n)], rows, name)
+
+
+@lru_cache(maxsize=1)
+def corpus() -> dict[str, HyperTable]:
+    """The full desk-scale corpus the invariant checks run over."""
+    out = dict(fixtures())
+    out["z1"] = cyclic_group(1)
+    out["z5"] = cyclic_group(5)
+    out["z6"] = cyclic_group(6)
+    out["total5"] = total_hypergroup(5, name="total5")
+    out["pair3"] = pair_hypergroup(3, name="pair3")
+    out["pair4"] = pair_hypergroup(4, name="pair4")
+    t2 = out["total2"]
+    z2 = out["z2"]
+    out["t2xz2"] = direct_product(t2, z2, name="t2xz2")
+    out["t2xt2"] = direct_product(t2, t2, name="t2xt2")
+    H = out["h9"]
+    out["h9-mod-heart"] = quotient_hypergroup(H, H.subset(["e", "a", "b", "c"]))
+    Q = out["h9-quotient"]
+    out["h9q-mod-kernel"] = quotient_hypergroup(Q, Q.subset(["K", "bK"]))
+    return out
+
+
+def small_corpus(max_n: int) -> dict[str, HyperTable]:
+    return {name: H for name, H in corpus().items() if H.n <= max_n}
 
 
 def random_hypergroups(seed, count, max_tries):
@@ -15,7 +61,7 @@ def random_hypergroups(seed, count, max_tries):
     almost never associate once n >= 3.
     """
     rng = random.Random(seed)
-    groups = [corpus.fixtures()[name] for name in ("z2", "z3", "z4", "v4")]
+    groups = [fixtures()[name] for name in ("z2", "z3", "z4", "v4")]
     found = {}
     tries = 0
     while len(found) < count and tries < max_tries:

@@ -67,7 +67,9 @@ psi_support here is the composite route: phi onto the free product of
 the fundamental groups, then the cosets of their commutator subgroups.
 word_inverse_unique, polygroup_closure_check and support are the
 sampling checks of the free-product acceptance criteria, which no
-command runs.
+command runs; nor does inverse_word, the expected inverse they compare
+with, nor refines, the order on partitions that the relation tests
+read.
 
 The library writes canonical JSON with its own writer, which renders a
 shared table cell once; emit_report here is json.dumps itself.
@@ -100,7 +102,6 @@ from hyperkernel.freeprod import (
     _counts_by_length,
     embed,
     enumerate_words,
-    inverse_word,
     multiply,
     multiply_sets,
     phi,
@@ -455,11 +456,20 @@ def derived(H: HyperTable) -> ElementSet:
     return ElementSet(H.n, acc)
 
 
+def refines(R: Partition, other: Partition) -> bool:
+    """True iff every pair related by R is related in other."""
+    if R.n != other.n:
+        raise errors.ShapeMismatch("partitions over different carriers")
+    return all(
+        len({other.class_of[i] for i in block}) == 1 for block in R.classes
+    )
+
+
 def _related_cells(H: HyperTable, R: Partition):
     """(a*x, b*x) and (x*a, x*b) as index lists, for all a R b and all x."""
     for a in range(H.n):
         for b in range(H.n):
-            if R.relates(a, b):
+            if R.class_of[a] == R.class_of[b]:
                 for x in range(H.n):
                     yield H.cell(a, x).indices(), H.cell(b, x).indices()
                     yield H.cell(x, a).indices(), H.cell(x, b).indices()
@@ -471,7 +481,7 @@ def is_regular(H: HyperTable, R: Partition) -> bool:
     x*a and x*b, for every x."""
 
     def covered(A, B):
-        return all(any(R.relates(u, v) for v in B) for u in A)
+        return all(any(R.class_of[u] == R.class_of[v] for v in B) for u in A)
 
     return all(covered(A, B) and covered(B, A) for A, B in _related_cells(H, R))
 
@@ -480,7 +490,7 @@ def is_strongly_regular(H: HyperTable, R: Partition) -> bool:
     """a R b implies that every element of a*x is related to every element
     of b*x, and the same for x*a and x*b, for every x."""
     return all(
-        R.relates(u, v) for A, B in _related_cells(H, R) for u in A for v in B
+        R.class_of[u] == R.class_of[v] for A, B in _related_cells(H, R) for u in A for v in B
     )
 
 
@@ -775,7 +785,8 @@ def psi_support(registry: FactorRegistry, w: ReducedWord) -> tuple[tuple[int, in
     """Support of freeprod.psi_image the composite way: phi onto the free
     product of the fundamental groups, then, for each factor, the coset
     modulo the commutator subgroup of the product of its letters."""
-    abelian = [_abelianization(G) for G in registry.fundamental_registry().factors]
+    groups = [relations.fundamental_group(H, "operation") for H in registry.factors]
+    abelian = [_abelianization(G) for G in groups]
     prods = [V.identity for V, _ in abelian]
     for l in phi(registry, w).letters:
         prods[l.factor] = abelian[l.factor][0].rows[prods[l.factor]][l.elem]
@@ -783,6 +794,13 @@ def psi_support(registry: FactorRegistry, w: ReducedWord) -> tuple[tuple[int, in
         (i, class_of[p])
         for i, ((V, class_of), p) in enumerate(zip(abelian, prods))
         if class_of[p] != class_of[V.identity]
+    )
+
+
+def inverse_word(registry: FactorRegistry, w: ReducedWord) -> ReducedWord:
+    """Reversed word with each letter replaced by its unique inverse."""
+    return ReducedWord(
+        tuple(Letter(l.factor, registry.inverses[l.factor][l.elem]) for l in reversed(w.letters))
     )
 
 

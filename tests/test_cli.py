@@ -366,6 +366,13 @@ class TestFreeprod:
         )
         assert json.loads(out)["words"] == ["1"]
 
+    def test_factor_that_is_not_a_hypergroup_is_named(self, capsys, tmp_path):
+        # (a*b)*b = {a,b} but a*(b*b) = {a}: not associative
+        path = tmp_path / "bad.hyp"
+        path.write_text("elements: a b\nrow a: {a} {a,b}\nrow b: {b} {a}\n", encoding="utf-8")
+        code, out, err = run(capsys, "freeprod", "--factors", f"{path},z2", "eval", "1")
+        assert (code, out, err) == (1, "", "hyperkernel: factor 0 is not a hypergroup\n")
+
     def test_identity_letter_is_named_by_its_label(self, capsys):
         code, out, err = run(capsys, "freeprod", "--factors", "h9,v4", "eval", "e@0")
         assert (code, out, err) == (1, "", "hyperkernel: letter e@0 is an identity\n")

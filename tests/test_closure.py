@@ -24,9 +24,9 @@ from hyperkernel.relations import enumerate_strongly_regular
 
 def _oracle_tables():
     """The corpus, the pair hypergroups (every subset closed) and h9 x z2."""
-    out = dict(corpus.corpus())
+    out = dict(generators.corpus())
     for n in range(1, 11):
-        out[f"pair{n}"] = corpus.pair_hypergroup(n, name=f"pair{n}")
+        out[f"pair{n}"] = generators.pair_hypergroup(n, name=f"pair{n}")
     out["h9xz2"] = direct_product(corpus.h9(), corpus.cyclic_group(2))
     return out
 
@@ -98,7 +98,7 @@ def _predicate_cases():
     not hypergroups, and for h9 x z2 the empty set, its lattice and seeded
     random masks."""
     out = {
-        name: [(H, range(1 << H.n))] for name, H in corpus.small_corpus(9).items()
+        name: [(H, range(1 << H.n))] for name, H in generators.small_corpus(9).items()
     }
     out["generated"] = [
         (H, range(1 << H.n)) for H in generators.random_hypergroups(7, 12, 4000)
@@ -110,7 +110,7 @@ def _predicate_cases():
         rows = [[rng.randrange(1, 1 << n) for _ in range(n)] for _ in range(n)]
         out["random"].append((HyperTable([str(i) for i in range(n)], rows), range(1 << n)))
     H = TABLES["h9xz2"]
-    lattice = [K.mask for K in subhypergroups(H).sets()]
+    lattice = [e.members.mask for e in subhypergroups(H).all]
     out["h9xz2"] = [(H, [0, *lattice, *(rng.getrandbits(H.n) for _ in range(300))])]
     return out
 
@@ -165,7 +165,7 @@ def _table(name):
     """A corpus table, or the ladder rung h9 x factor."""
     if name in RUNG_FACTORS:
         return direct_product(corpus.h9(), RUNG_FACTORS[name], name=name)
-    return corpus.corpus()[name]
+    return generators.corpus()[name]
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +173,7 @@ def _lattice(name):
     return subhypergroups(_table(name))
 
 
-@pytest.mark.parametrize("name", sorted(corpus.corpus()) + list(RUNG_FACTORS))
+@pytest.mark.parametrize("name", sorted(generators.corpus()) + list(RUNG_FACTORS))
 def test_conjugable_equals_closed_on_the_lattice(name):
     # The oracle's is_conjugable, which searches an x' for every hit x,
     # agrees with closed on product-closed sets, so the lattice copies it.

@@ -375,7 +375,7 @@ def _row_predicate_tables():
     import generators
 
     rng = random.Random(3)
-    out = list(corpus.corpus().values()) + generators.random_hypergroups(9, 40, 4000)
+    out = list(generators.corpus().values()) + generators.random_hypergroups(9, 40, 4000)
     for _ in range(200):
         n = rng.randint(1, 5)
         out.append(HyperTable([str(i) for i in range(n)],

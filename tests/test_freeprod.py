@@ -3,8 +3,10 @@ import tracemalloc
 
 import pytest
 
+import generators
 import oracles
 from generators import random_hypergroups, s4_mod_double_transposition
+from oracles import inverse_word
 from hyperkernel import corpus, errors, freeprod
 from hyperkernel.freeprod import (
     EMPTY_WORD,
@@ -14,7 +16,6 @@ from hyperkernel.freeprod import (
     ReducedWord,
     embed,
     enumerate_words,
-    inverse_word,
     kernel_count,
     make_word,
     multiply,
@@ -39,7 +40,7 @@ from hyperkernel.core import (
 )
 from hyperkernel.groups import validate_group
 from hyperkernel.quotients import heart, quotient_hypergroup, subhypergroups
-from hyperkernel.relations import beta, congruence_mod
+from hyperkernel.relations import beta, congruence_mod, fundamental_group
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,7 @@ class TestRegistry:
         # FactorRegistry reads identities and inverses without re-checking
         # their uniqueness; this is the implication it relies on.
         rng = random.Random(2024)
-        tables = [H for H in corpus.corpus().values() if is_hypergroup(H)]
+        tables = [H for H in generators.corpus().values() if is_hypergroup(H)]
         while len(tables) < 400:
             # a cyclic group's table, some cells widened by a random subset;
             # these stay near n=2 once multi-valued
@@ -367,7 +368,7 @@ class TestPhi:
     def test_homomorphism_sampled(self, reg):
         rng = random.Random(23)
         pool = enumerate_words(reg, 3)
-        target = reg.fundamental_registry()
+        target = FactorRegistry([fundamental_group(H, "operation") for H in reg.factors])
         for _ in range(200):
             w1 = pool[rng.randrange(len(pool))]
             w2 = pool[rng.randrange(len(pool))]
@@ -396,7 +397,7 @@ class TestPhi:
 class TestPsi:
     def test_empty_is_zero(self, group_reg):
         fam = group_reg.direct_sum_family()
-        assert psi(fam, EMPTY_WORD).is_zero()
+        assert psi(fam, EMPTY_WORD).support == ()
 
     def test_worked_products(self, group_reg):
         # w1 = s@0 g@1, w2 = a@2 r@3 with every letter nontrivial in the
@@ -419,7 +420,7 @@ class TestPsi:
                 [w1, w2, inverse_word(group_reg, w1), inverse_word(group_reg, w2)],
             )
             for u in comm:
-                assert psi_image(group_reg, u).is_zero()
+                assert psi_image(group_reg, u).support == ()
 
     def test_additive_sampled(self, group_reg):
         rng = random.Random(31)
@@ -497,7 +498,7 @@ class TestPsiSupports:
         assert len(psi_registries) == 4 + 3 + 18
         for reg in psi_registries:
             family = reg.direct_sum_family()
-            fundamental = DirectSumFamily(reg.fundamental_registry().factors)
+            fundamental = DirectSumFamily([fundamental_group(H, "operation") for H in reg.factors])
             assert family.abelianizations == fundamental.abelianizations
             assert family.identities == fundamental.identities
             for H, proj_H, proj_G in zip(
@@ -842,6 +843,21 @@ class TestStateCounts:
             words = enumerate_words(reg, max_len)
             counts = word_counts(sizes, max_len)
             assert counts == [sum(len(w.letters) == k for w in words) for k in range(max_len + 1)]
+
+    def test_word_counts_refuse_where_the_walk_does(self):
+        # kernel_count's layers alone charge L * (L + 1) / 2: 3,997,378 at
+        # L = 2827 and 4,000,206 at L = 2828, where both refuse.
+        assert word_counts([1, 1], 2827) == [1] + [2] * 2827
+        with pytest.raises(errors.BudgetExceeded) as exc:
+            word_counts([8, 3], 2828)
+        assert str(exc.value) == (
+            "conjecture images: charged 4000206 word ids by length 2828, "
+            "over the budget of 4000000"
+        )
+        reg = FactorRegistry([corpus.cyclic_group(2)] * 2)
+        with pytest.raises(errors.BudgetExceeded) as walk:
+            kernel_count(reg, reg, [[0, 1], [0, 1]], 2828)
+        assert str(walk.value) == str(exc.value)
 
     def test_state_counts_sum_to_the_words_they_project(self, h9):
         # Letters of a factor that share a coset are one step with their

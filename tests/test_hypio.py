@@ -99,7 +99,7 @@ class TestDistinctCells:
 
     def test_spacing_inside_a_cell_does_not_change_its_mask(self):
         H = parse_hyp("elements: a b\nrow a: {a} {a, b}\nrow b: {a,b} { b ,a }\n")
-        assert H.cell_mask(0, 1) == H.cell_mask(1, 0) == H.cell_mask(1, 1) == 0b11
+        assert H.rows[0][1] == H.rows[1][0] == H.rows[1][1] == 0b11
 
     @pytest.mark.parametrize(
         "text, error, message",

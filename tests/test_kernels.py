@@ -53,8 +53,8 @@ def test_union_find_roots_are_least_members():
             uf.union(a, b)
         roots = uf.roots()
         R = Partition(n, roots)
-        assert roots == [min(R.class_set(i)) for i in range(n)]
-        assert all(R.relates(a, b) for a, b in pairs)
+        assert roots == [min(R.classes[R.class_of[i]]) for i in range(n)]
+        assert all(R.class_of[a] == R.class_of[b] for a, b in pairs)
 
 
 def test_oracle_merge_roots_on_h9():

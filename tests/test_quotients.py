@@ -1,5 +1,6 @@
 from itertools import combinations_with_replacement
 
+import generators
 import oracles
 import pytest
 from oracles import find_isomorphism
@@ -77,8 +78,8 @@ class TestSubhypergroups:
         # 64 subsets of the pair hypergroup on 6 points is closed.
         message = "subhypergroup lattice: visited 17 closed sets, over the budget of 16"
         with pytest.raises(errors.BudgetExceeded, match=message):
-            subhypergroups(corpus.pair_hypergroup(6), budget=16)
-        assert len(subhypergroups(corpus.pair_hypergroup(6), budget=64).all) == 63
+            subhypergroups(generators.pair_hypergroup(6), budget=16)
+        assert len(subhypergroups(generators.pair_hypergroup(6), budget=64).all) == 63
 
 
 class TestHeartAndDerived:
@@ -176,7 +177,7 @@ class TestGroupQuotientTheorem:
         assert check_group_quotient(h9, h9.carrier())
 
     def test_requires_closed(self):
-        H = corpus.pair_hypergroup(3)
+        H = generators.pair_hypergroup(3)
         K = H.set_of([0])
         from hyperkernel.core import is_closed, is_subhypergroup
 

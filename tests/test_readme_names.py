@@ -13,8 +13,13 @@ out of `src/`, fails here instead of misleading a reader.
 
 Every budget limit `src/` defines is stated in the README with its
 value, so the budget prose cannot drift from the code.
+
+Every public name `src/` defines is either read by `src/` or named in
+the README, so code that only the tests call does not settle in the
+library.
 """
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -132,3 +137,52 @@ def test_readme_states_every_budget_limit():
         named = [p for p in paragraphs if re.search(rf"`(\w+\.)?{name}`", p)]
         assert named, name
         assert any(s in p for p in named for s in _spellings(value)), name
+
+
+def _public_defs():
+    """(module, class or None, def node) for each public module-level
+    function or class of src/, and each public method of such a class."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield path.stem, None, node
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield path.stem, node.name, item
+
+
+def _loaded_names():
+    """(module, line, identifier) for each name or attribute src/ reads."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield path.stem, node.lineno, node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                yield path.stem, node.lineno, node.attr
+
+
+def test_every_public_name_is_run_or_documented():
+    """Each public function, class and method of src/ is read by code in
+    src/ outside its own definition, or named in its module's layout row
+    or in the Records paragraph (bare, as `Class.name` or as
+    `module.name`).
+
+    A guard against regrowth, not a proof: a read is matched by
+    identifier alone, so a method is counted as run when any attribute
+    of that name is read, and a name read only on a path that no
+    command takes still passes.
+    """
+    loaded = list(_loaded_names())
+    documented = set(readme_names())
+    unused = []
+    for module, owner, node in _public_defs():
+        name = node.name
+        if any(
+            ident == name and not (mod == module and node.lineno <= line <= node.end_lineno)
+            for mod, line, ident in loaded
+        ):
+            continue
+        spellings = {name, f"{owner}.{name}", f"{module}.{name}"}
+        if not any((s, t) in documented for s in (module, "Records") for t in spellings):
+            unused.append(f"{module}.{owner}.{name}" if owner else f"{module}.{name}")
+    assert not unused, f"neither run by src/ nor named in the README: {unused}"
